@@ -1,5 +1,6 @@
 #include "graph/graph_edit.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
 #include <string_view>
@@ -150,44 +151,55 @@ GraphEdit graph_edit_from_json(const JsonValue& json) {
 }
 
 TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits) {
-  struct NodeDraft {
-    NodeKind kind;
-    std::string name;
-    std::int64_t declared_output;
-    bool alive;
-  };
-  struct EdgeDraft {
-    NodeId src;
-    NodeId dst;
-    std::int64_t volume;
-    bool alive;
-  };
+  using NodeRec = TaskGraph::NodeRec;
+  const std::size_t base_edges = base.edges_.size();
 
-  std::vector<NodeDraft> nodes;
-  nodes.reserve(base.node_count() + edits.size());
-  for (NodeId v = 0; static_cast<std::size_t>(v) < base.node_count(); ++v) {
-    nodes.push_back({base.kind(v), base.name(v), base.declared_output(v), true});
+  // Flat copies of the base records, patched in place below. Sinks never
+  // carry a declared output in a materialized graph.
+  TaskGraph out;
+  out.nodes_.reserve(base.nodes_.size() + edits.size());
+  for (const NodeRec& rec : base.nodes_) {
+    out.nodes_.push_back(rec);
+    if (rec.kind == NodeKind::kSink) out.nodes_.back().declared_output = 0;
   }
-  std::vector<EdgeDraft> edges;
-  edges.reserve(base.edge_count() + edits.size());
-  for (const Edge& edge : base.edges()) {
-    edges.push_back({edge.src, edge.dst, edge.volume, true});
-  }
+  out.edges_.reserve(base_edges + edits.size());
+  out.edges_.assign(base.edges_.begin(), base.edges_.end());
+  std::vector<NodeRec>& nodes = out.nodes_;
+  std::vector<Edge>& edges = out.edges_;
 
-  const auto check_alive = [&nodes](NodeId v, const char* role) {
+  // Removal flags, allocated by the first removal; an index past the end is
+  // alive. Without a removal the copies need no renumbering at all.
+  std::vector<char> node_dead;
+  std::vector<char> edge_dead;
+  const auto dead = [](const std::vector<char>& flags, std::size_t i) {
+    return i < flags.size() && flags[i] != 0;
+  };
+  const auto kill = [](std::vector<char>& flags, std::size_t i, std::size_t size) {
+    if (flags.size() < size) flags.resize(size, 0);
+    flags[i] = 1;
+  };
+  // Records an edit may have left non-canonical, re-checked once at the end
+  // in id order: set_output targets and added nodes, edges whose volume was
+  // set. Added edges (ids >= base_edges) are checked wholesale.
+  std::vector<NodeId> patched_nodes;
+  std::vector<EdgeId> patched_edges;
+
+  const auto check_alive = [&](NodeId v, const char* role) {
     if (v < 0 || static_cast<std::size_t>(v) >= nodes.size()) {
       fail(std::string(role) + " node " + std::to_string(v) + " out of range");
     }
-    if (!nodes[static_cast<std::size_t>(v)].alive) {
+    if (dead(node_dead, static_cast<std::size_t>(v))) {
       fail(std::string(role) + " node " + std::to_string(v) + " was removed");
     }
   };
   // First not-yet-removed edge with the given endpoints, in insertion order.
-  const auto find_edge = [&edges](NodeId src, NodeId dst) -> EdgeDraft* {
-    for (EdgeDraft& edge : edges) {
-      if (edge.alive && edge.src == src && edge.dst == dst) return &edge;
+  const auto find_edge = [&](NodeId src, NodeId dst) -> EdgeId {
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (edges[e].src == src && edges[e].dst == dst && !dead(edge_dead, e)) {
+        return static_cast<EdgeId>(e);
+      }
     }
-    return nullptr;
+    return -1;
   };
 
   for (const GraphEdit& edit : edits) {
@@ -196,82 +208,98 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
         if (edit.kind == NodeKind::kSource && edit.volume <= 0) {
           fail("add_node source requires a positive output");
         }
-        nodes.push_back({edit.kind, edit.name, edit.volume, true});
+        patched_nodes.push_back(static_cast<NodeId>(nodes.size()));
+        nodes.push_back(NodeRec{edit.kind, edit.name, edit.volume});
         break;
       case GraphEdit::Op::kRemoveNode:
         check_alive(edit.node, "remove_node");
-        nodes[static_cast<std::size_t>(edit.node)].alive = false;
-        for (EdgeDraft& edge : edges) {
-          if (edge.src == edit.node || edge.dst == edit.node) edge.alive = false;
+        kill(node_dead, static_cast<std::size_t>(edit.node), nodes.size());
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+          if (edges[e].src == edit.node || edges[e].dst == edit.node) {
+            kill(edge_dead, e, edges.size());
+          }
         }
         break;
       case GraphEdit::Op::kAddEdge:
         check_alive(edit.src, "add_edge src");
         check_alive(edit.dst, "add_edge dst");
-        edges.push_back({edit.src, edit.dst, edit.volume, true});
+        edges.push_back(Edge{edit.src, edit.dst, edit.volume});
         break;
       case GraphEdit::Op::kRemoveEdge: {
         check_alive(edit.src, "remove_edge src");
         check_alive(edit.dst, "remove_edge dst");
-        EdgeDraft* edge = find_edge(edit.src, edit.dst);
-        if (!edge) {
+        const EdgeId e = find_edge(edit.src, edit.dst);
+        if (e < 0) {
           fail("remove_edge: no edge " + std::to_string(edit.src) + " -> " +
                std::to_string(edit.dst));
         }
-        edge->alive = false;
+        kill(edge_dead, static_cast<std::size_t>(e), edges.size());
         break;
       }
       case GraphEdit::Op::kSetOutput:
         check_alive(edit.node, "set_output");
         nodes[static_cast<std::size_t>(edit.node)].declared_output = edit.volume;
+        patched_nodes.push_back(edit.node);
         break;
       case GraphEdit::Op::kSetEdgeVolume: {
         check_alive(edit.src, "set_edge_volume src");
         check_alive(edit.dst, "set_edge_volume dst");
-        EdgeDraft* edge = find_edge(edit.src, edit.dst);
-        if (!edge) {
+        const EdgeId e = find_edge(edit.src, edit.dst);
+        if (e < 0) {
           fail("set_edge_volume: no edge " + std::to_string(edit.src) + " -> " +
                std::to_string(edit.dst));
         }
-        edge->volume = edit.volume;
+        edges[static_cast<std::size_t>(e)].volume = edit.volume;
+        if (static_cast<std::size_t>(e) < base_edges) patched_edges.push_back(e);
         break;
       }
     }
   }
 
-  // Dense renumbering in draft order; dead nodes drop out, everything else
-  // keeps its relative position so an undo list round-trips exactly.
-  std::vector<NodeId> remap(nodes.size(), -1);
-  TaskGraph out;
-  for (std::size_t v = 0; v < nodes.size(); ++v) {
-    const NodeDraft& draft = nodes[v];
-    if (!draft.alive) continue;
-    NodeId mapped = -1;
-    switch (draft.kind) {
-      case NodeKind::kSource:
-        if (draft.declared_output <= 0) {
-          fail("node " + std::to_string(v) + ": source lost its declared output");
-        }
-        mapped = out.add_source(draft.declared_output, draft.name);
-        break;
-      case NodeKind::kCompute:
-        mapped = out.add_compute(draft.name);
-        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
-        break;
-      case NodeKind::kBuffer:
-        mapped = out.add_buffer(draft.name);
-        if (draft.declared_output > 0) out.declare_output(mapped, draft.declared_output);
-        break;
-      case NodeKind::kSink:
-        mapped = out.add_sink(draft.name);
-        break;
+  // Patched records, lowest id first (the order the first failure is
+  // reported in): a source must keep a positive output; sinks and
+  // non-positive declarations carry no output record.
+  std::sort(patched_nodes.begin(), patched_nodes.end());
+  for (const NodeId v : patched_nodes) {
+    if (dead(node_dead, static_cast<std::size_t>(v))) continue;
+    NodeRec& rec = nodes[static_cast<std::size_t>(v)];
+    if (rec.kind == NodeKind::kSource && rec.declared_output <= 0) {
+      fail("node " + std::to_string(v) + ": source lost its declared output");
     }
-    remap[v] = mapped;
+    if (rec.kind == NodeKind::kSink || rec.declared_output < 0) rec.declared_output = 0;
   }
-  for (const EdgeDraft& edge : edges) {
-    if (!edge.alive) continue;
-    out.add_edge(remap[static_cast<std::size_t>(edge.src)],
-                 remap[static_cast<std::size_t>(edge.dst)], edge.volume);
+  std::sort(patched_edges.begin(), patched_edges.end());
+  for (std::size_t e = base_edges; e < edges.size(); ++e) {
+    patched_edges.push_back(static_cast<EdgeId>(e));
+  }
+  for (const EdgeId e : patched_edges) {
+    if (dead(edge_dead, static_cast<std::size_t>(e))) continue;
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    // The same checks (and messages) as TaskGraph::add_edge.
+    if (edge.volume <= 0) throw std::invalid_argument("add_edge: volume must be > 0");
+    if (edge.src == edge.dst) throw std::invalid_argument("add_edge: self loop");
+  }
+
+  // Dense renumbering, only when something was removed: survivors keep
+  // their relative order, so an undo list round-trips exactly.
+  if (!node_dead.empty() || !edge_dead.empty()) {
+    std::vector<NodeId> remap(nodes.size(), kInvalidNode);
+    std::size_t kept = 0;
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      if (dead(node_dead, v)) continue;
+      remap[v] = static_cast<NodeId>(kept);
+      if (kept != v) nodes[kept] = std::move(nodes[v]);
+      ++kept;
+    }
+    nodes.resize(kept);
+    kept = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if (dead(edge_dead, e)) continue;
+      const Edge edge = edges[e];
+      edges[kept++] = Edge{remap[static_cast<std::size_t>(edge.src)],
+                           remap[static_cast<std::size_t>(edge.dst)], edge.volume};
+    }
+    edges.resize(kept);
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -26,6 +27,20 @@ NodeKind kind_from(const std::string& token, std::size_t line) {
   if (token == "compute") return NodeKind::kCompute;
   if (token == "buffer") return NodeKind::kBuffer;
   fail(line, "unknown node kind '" + token + "'");
+}
+
+// The output volume the byte forms record for v: a non-sink node's declared
+// output when one is set, else the derived O(v). On a valid graph the two
+// agree, so these bytes are those of output_volume(); on an invalid one a
+// declaration contradicting the out-edge volume stays visible, and the graph
+// cannot share a cache key, a memo entry, or a fragment with its valid twin.
+std::int64_t recorded_output(const TaskGraph& graph, NodeId v, std::int64_t derived) {
+  const std::int64_t declared = graph.declared_output(v);
+  return graph.kind(v) != NodeKind::kSink && declared > 0 ? declared : derived;
+}
+
+std::int64_t recorded_output(const TaskGraph& graph, NodeId v) {
+  return recorded_output(graph, v, graph.output_volume(v));
 }
 
 }  // namespace
@@ -271,11 +286,18 @@ TaskGraph task_graph_from_json(const JsonValue& json) {
 }
 
 std::string canonical_fingerprint(const TaskGraph& graph) {
+  std::string out;
+  append_canonical_fingerprint(out, graph);
+  return out;
+}
+
+void append_canonical_fingerprint(std::string& out, const TaskGraph& graph) {
   const std::size_t nodes = graph.node_count();
   const std::size_t edges = graph.edge_count();
-  std::string out;
-  out.resize(16 + nodes * 9 + edges * 24);
-  char* p = out.data();
+  const std::span<const NodeProfile> profiles = graph.profiles();
+  const std::size_t at = out.size();
+  out.resize(at + 16 + nodes * 9 + edges * 24);
+  char* p = out.data() + at;
   const auto put64 = [&p](std::int64_t value) {
     std::memcpy(p, &value, 8);
     p += 8;
@@ -284,15 +306,13 @@ std::string canonical_fingerprint(const TaskGraph& graph) {
   put64(static_cast<std::int64_t>(edges));
   for (NodeId v = 0; static_cast<std::size_t>(v) < nodes; ++v) {
     *p++ = static_cast<char>(graph.kind(v));
-    put64(graph.output_volume(v));
+    put64(recorded_output(graph, v, profiles[static_cast<std::size_t>(v)].out_volume));
   }
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < edges; ++e) {
-    const Edge& edge = graph.edge(e);
+  for (const Edge& edge : graph.edges()) {
     put64(edge.src);
     put64(edge.dst);
     put64(edge.volume);
   }
-  return out;
 }
 
 namespace {
@@ -321,25 +341,6 @@ std::size_t distinct_classes(std::span<const NodeId> nodes,
   std::sort(scratch.begin(), scratch.end());
   return static_cast<std::size_t>(
       std::unique(scratch.begin(), scratch.end()) - scratch.begin());
-}
-
-// 8-bytes-at-a-time content digest used to bucket memo entries; probes
-// compare the full raw bytes, so this only has to spread, not to be
-// collision-free.
-std::uint64_t digest_bytes(const std::string& bytes) {
-  std::uint64_t h = avalanche(0x706d656dULL);  // arbitrary fixed seed
-  std::size_t i = 0;
-  for (; i + 8 <= bytes.size(); i += 8) {
-    std::uint64_t chunk = 0;
-    std::memcpy(&chunk, bytes.data() + i, 8);
-    h = hash_combine(h, chunk);
-  }
-  if (i < bytes.size()) {
-    std::uint64_t tail = 0;
-    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
-    h = hash_combine(h, tail);
-  }
-  return hash_combine(h, bytes.size());
 }
 
 // Union-find weakly connected components + min-original-id labeling +
@@ -415,7 +416,7 @@ std::uint64_t seed_hash(const TaskGraph& graph, NodeId v, const Rational& level)
 }
 
 struct RefineScratch {
-  std::vector<std::uint64_t> next;  ///< node-indexed, sized once per graph
+  std::vector<std::uint64_t> next;  ///< indexed by position in the partition
   std::vector<std::uint64_t> sig;
   std::vector<std::uint64_t> scratch;
 };
@@ -431,8 +432,10 @@ void refine_partition(const TaskGraph& graph, CanonicalPartitionIndex& index,
   constexpr int kMaxRounds = 32;
   const std::span<const NodeId> nodes = index.nodes(c);
   std::size_t classes = distinct_classes(nodes, index.node_hash, rs.scratch);
+  rs.next.resize(nodes.size());
   for (int round = 0; round < kMaxRounds && classes < nodes.size(); ++round) {
-    for (const NodeId v : nodes) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const NodeId v = nodes[i];
       rs.sig.clear();
       for (const EdgeId e : graph.in_edges(v)) {
         const Edge& edge = graph.edge(e);
@@ -451,11 +454,10 @@ void refine_partition(const TaskGraph& graph, CanonicalPartitionIndex& index,
       std::sort(rs.sig.begin(), rs.sig.end());
       std::uint64_t h = index.node_hash[static_cast<std::size_t>(v)];
       for (const std::uint64_t s : rs.sig) h = hash_combine(h, s);
-      rs.next[static_cast<std::size_t>(v)] = hash_combine(h, rs.sig.size());
+      rs.next[i] = hash_combine(h, rs.sig.size());
     }
-    for (const NodeId v : nodes) {
-      index.node_hash[static_cast<std::size_t>(v)] =
-          rs.next[static_cast<std::size_t>(v)];
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      index.node_hash[static_cast<std::size_t>(nodes[i])] = rs.next[i];
     }
     const std::size_t refined = distinct_classes(nodes, index.node_hash, rs.scratch);
     if (refined == classes) break;
@@ -500,7 +502,7 @@ void partition_raw_form(const TaskGraph& graph, std::span<const NodeId> nodes,
   put64(static_cast<std::int64_t>(local_edges));
   for (const NodeId v : nodes) {
     *p++ = static_cast<char>(graph.kind(v));
-    put64(graph.output_volume(v));
+    put64(recorded_output(graph, v));
   }
   for (const NodeId v : nodes) {
     put64(static_cast<std::int64_t>(graph.out_degree(v)));
@@ -510,7 +512,7 @@ void partition_raw_form(const TaskGraph& graph, std::span<const NodeId> nodes,
       put64(edge.volume);
     }
   }
-  }
+}
 
 }  // namespace
 
@@ -525,7 +527,6 @@ CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph) {
   }
 
   RefineScratch rs;
-  rs.next.resize(n);
   for (std::int32_t c = 0; c < index.count; ++c) refine_partition(graph, index, c, rs);
   return index;
 }
@@ -550,8 +551,9 @@ CanonicalPartitionIndex canonical_partition_index(
     }
   }
 
-  // Scratch for the miss path, sized lazily: an all-hit pass (the delta /
-  // shared-stream steady state) never touches levels or refinement at all.
+  // Scratch for the miss path, indexed by position within the partition:
+  // one missed partition of a large graph (the delta steady state) sizes it
+  // to that partition, never to the whole graph.
   RefineScratch rs;
   std::vector<Rational> level;
   std::vector<std::int32_t> indeg;
@@ -577,21 +579,20 @@ CanonicalPartitionIndex canonical_partition_index(
       continue;
     }
 
-    if (level.empty()) {
-      rs.next.resize(n);
-      level.assign(n, Rational(0));
-      indeg.assign(n, 0);
-    }
     // Partition-local generalized levels, mirroring the node_levels
     // recurrence: L(v) = 1 for nodes without inputs, else
-    // max parent level + max(R(v), 1). Every in-edge of a partition node
-    // lies inside the partition (components span ALL edges), so these equal
-    // the whole-graph levels and the seeds match the plain overload's.
+    // max parent level + max(R(v), 1). Every edge of a partition node lies
+    // inside the partition (components span ALL edges), so these equal the
+    // whole-graph levels and the seeds match the plain overload's.
+    const auto at = [&pos](NodeId v) {
+      return static_cast<std::size_t>(pos[static_cast<std::size_t>(v)]);
+    };
+    level.assign(size, Rational(0));
+    indeg.assign(size, 0);
     ready.clear();
-    for (const NodeId v : ids) {
-      indeg[static_cast<std::size_t>(v)] =
-          static_cast<std::int32_t>(graph.in_degree(v));
-      if (indeg[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+    for (std::size_t i = 0; i < size; ++i) {
+      indeg[i] = static_cast<std::int32_t>(graph.in_degree(ids[i]));
+      if (indeg[i] == 0) ready.push_back(ids[i]);
     }
     std::size_t popped = 0;
     while (!ready.empty()) {
@@ -600,26 +601,23 @@ CanonicalPartitionIndex canonical_partition_index(
       ++popped;
       const auto ins = graph.in_edges(v);
       if (ins.empty()) {
-        level[static_cast<std::size_t>(v)] = Rational(1);
+        level[at(v)] = Rational(1);
       } else {
         Rational best(0);
-        for (const EdgeId e : ins) {
-          best = std::max(best, level[static_cast<std::size_t>(graph.edge(e).src)]);
-        }
-        level[static_cast<std::size_t>(v)] = best + std::max(graph.rate(v), Rational(1));
+        for (const EdgeId e : ins) best = std::max(best, level[at(graph.edge(e).src)]);
+        level[at(v)] = best + std::max(graph.rate(v), Rational(1));
       }
       for (const EdgeId e : graph.out_edges(v)) {
         const NodeId w = graph.edge(e).dst;
-        if (--indeg[static_cast<std::size_t>(w)] == 0) ready.push_back(w);
+        if (--indeg[at(w)] == 0) ready.push_back(w);
       }
     }
     if (popped != size) {
       throw std::invalid_argument("canonical_partition_index: graph contains a cycle");
     }
 
-    for (const NodeId v : ids) {
-      index.node_hash[static_cast<std::size_t>(v)] =
-          seed_hash(graph, v, level[static_cast<std::size_t>(v)]);
+    for (std::size_t i = 0; i < size; ++i) {
+      index.node_hash[static_cast<std::size_t>(ids[i])] = seed_hash(graph, ids[i], level[i]);
     }
     refine_partition(graph, index, c, rs);
 
@@ -631,7 +629,7 @@ CanonicalPartitionIndex canonical_partition_index(
       ranks.rank.push_back(index.rank[static_cast<std::size_t>(v)]);
     }
     ranks.form = canonical_partition_form(graph, index, c);
-    ranks.form_digest = digest_bytes(ranks.form);
+    ranks.form_digest = fnv1a64(ranks.form);
     auto resident = memo->insert(raw_buf, std::move(ranks));
     if (entries) (*entries)[static_cast<std::size_t>(c)] = std::move(resident);
   }
@@ -640,7 +638,7 @@ CanonicalPartitionIndex canonical_partition_index(
 
 std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::find(
     const std::string& raw) {
-  const std::uint64_t digest = digest_bytes(raw);
+  const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
   if (const auto bucket = buckets_.find(digest); bucket != buckets_.end()) {
     for (const auto it : bucket->second) {
@@ -659,7 +657,7 @@ std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::insert(std:
                                                                             Ranks ranks) {
   const std::size_t weight = ranks.hash.size();
   auto owned = std::make_shared<const Ranks>(std::move(ranks));
-  const std::uint64_t digest = digest_bytes(raw);
+  const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
   auto& bucket = buckets_[digest];
   for (const auto it : bucket) {
@@ -717,7 +715,7 @@ std::string canonical_partition_form(const TaskGraph& graph,
   put64(static_cast<std::int64_t>(local_edges));
   for (const NodeId v : nodes) {
     *p++ = static_cast<char>(graph.kind(v));
-    put64(graph.output_volume(v));
+    put64(recorded_output(graph, v));
   }
   for (const NodeId v : nodes) {
     put64(static_cast<std::int64_t>(graph.out_degree(v)));

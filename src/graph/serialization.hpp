@@ -36,12 +36,20 @@ void save_task_graph(std::ostream& output, const TaskGraph& graph);
 /// Compact binary encoding of the scheduling-relevant canonical structure:
 /// node/edge counts, per-node kind + output volume, per-edge (src, dst,
 /// volume). Node names are excluded — they never influence a schedule, so
-/// graphs differing only in names encode identically. Two graphs produce the
-/// same fingerprint iff their text serializations (minus names) match; a
-/// single pre-sized buffer keeps it an order of magnitude cheaper than
-/// `save_task_graph_to_string`, which matters because this is the
-/// ScheduleCache key built on every (including cache-hit) scheduling query.
+/// graphs differing only in names encode identically. The per-node volume is
+/// a non-sink node's declared output when one is set, else output_volume():
+/// identical bytes for every valid graph, while a declaration contradicting
+/// its out-edge volume (an invalid graph) changes the bytes instead of
+/// aliasing the valid twin. A single pre-sized buffer keeps it an order of
+/// magnitude cheaper than `save_task_graph_to_string`, which matters because
+/// this is the ScheduleCache key built on every (including cache-hit)
+/// scheduling query.
 [[nodiscard]] std::string canonical_fingerprint(const TaskGraph& graph);
+
+/// Appends canonical_fingerprint(graph) to `out` — how a caller building a
+/// longer key (canonical_cache_key, ScheduleRequest::key) writes the
+/// fingerprint straight into its own buffer instead of copying it in.
+void append_canonical_fingerprint(std::string& out, const TaskGraph& graph);
 
 /// JSON rendering of a canonical task graph, the shape embedded in
 /// ScheduleRequest envelopes (service/request.hpp):
@@ -102,7 +110,8 @@ struct CanonicalPartitionIndex {
 /// graphs, yet across a delta request — or a stream of requests sharing
 /// partitions — almost every partition's structure is unchanged. The memo
 /// keys each partition by its raw positional content: node count, edge
-/// count, per-node (kind, declared output) in ascending-original-id order,
+/// count, per-node (kind, output volume — recorded as in
+/// canonical_fingerprint) in ascending-original-id order,
 /// then per node its out-edges in insertion order as (destination position,
 /// volume). Positions are offsets within the partition's own id-ordered
 /// node list, so the key is invariant under the id shifts partitions acquire
@@ -191,7 +200,8 @@ class PartitionCanonMemo {
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries = nullptr);
 
 /// Compact binary canonical form of one connected partition: node count,
-/// edge count, per-node (kind, output volume) in canonical-rank order, then
+/// edge count, per-node (kind, output volume — a non-sink node's declared
+/// output when set, as in canonical_fingerprint) in canonical-rank order, then
 /// per node its out-edges in original insertion order as (canonical dst
 /// rank, volume). Invariant under node-id renumbering whenever the
 /// structural hashes separate the partition's nodes; per-node out-edge

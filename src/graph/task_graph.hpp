@@ -15,6 +15,8 @@ using NodeId = std::int32_t;
 using EdgeId = std::int32_t;
 inline constexpr NodeId kInvalidNode = -1;
 
+struct GraphEdit;
+
 /// Canonical node kinds (paper Section 3.1).
 enum class NodeKind : std::uint8_t {
   kSource,   ///< reads its output from global memory; no production rate
@@ -200,6 +202,10 @@ class TaskGraph {
 
   /// Throws std::invalid_argument listing all violations, if any.
   void validate_or_throw() const;
+
+  // apply_graph_edits (graph/graph_edit.cpp) copies the node and edge arrays
+  // and patches them in place; through add_* it would replay the whole base.
+  friend TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits);
 
  private:
   struct NodeRec {

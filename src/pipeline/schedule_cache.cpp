@@ -1,6 +1,5 @@
 #include "pipeline/schedule_cache.hpp"
 
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -30,38 +29,21 @@ ScheduleCache::Flight ScheduleCache::settle_current_exception() {
 std::string canonical_cache_key(const TaskGraph& graph, std::string_view scheduler,
                                 const MachineConfig& machine) {
   std::string key;
-  key.reserve(80 + 16 + 9 * graph.node_count() + 24 * graph.edge_count());
-  key += "scheduler=";
-  key += scheduler;
-  key += '\n';
-  key += machine.cache_key();
-  key += '\n';
-  key += canonical_fingerprint(graph);
+  append_canonical_cache_key(key, graph, scheduler, machine);
   return key;
 }
 
-std::uint64_t fnv1a64(std::string_view text) noexcept {
-  // FNV-1a over 8-byte words with a final avalanche. Word-at-a-time keeps
-  // the multiply dependency chain off the cache-hit critical path (the
-  // byte-serial variant costs ~3 cycles per byte, which dominates hits on
-  // multi-kilobyte keys); the avalanche restores diffusion across the word.
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const char* p = text.data();
-  std::size_t n = text.size();
-  while (n >= 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, 8);
-    hash = (hash ^ word) * 0x100000001b3ULL;
-    p += 8;
-    n -= 8;
-  }
-  std::uint64_t tail = 0;
-  if (n > 0) std::memcpy(&tail, p, n);
-  hash = (hash ^ (tail + n)) * 0x100000001b3ULL;
-  hash ^= hash >> 32;
-  hash *= 0xd6e8feb86659fd93ULL;
-  hash ^= hash >> 32;
-  return hash;
+void append_canonical_cache_key(std::string& out, const TaskGraph& graph,
+                                std::string_view scheduler, const MachineConfig& machine) {
+  const std::string machine_key = machine.cache_key();
+  out.reserve(out.size() + 12 + scheduler.size() + machine_key.size() + 16 +
+              9 * graph.node_count() + 24 * graph.edge_count());
+  out += "scheduler=";
+  out += scheduler;
+  out += '\n';
+  out += machine_key;
+  out += '\n';
+  append_canonical_fingerprint(out, graph);
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::optional<std::chrono::nanoseconds> ttl)
@@ -119,10 +101,35 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_schedule(const TaskGraph& graph,
                         graph.node_count());
 }
 
+ScheduleCache::InFlightTable::iterator ScheduleCache::find_in_flight_locked(
+    std::uint64_t hash, std::string_view key) {
+  const auto [first, last] = in_flight_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (*it->second.key == key) return it;
+  }
+  return in_flight_.end();
+}
+
+void ScheduleCache::erase_in_flight_locked(std::uint64_t hash, const std::string& key) {
+  // The caller's own entry, matched by identity rather than by key bytes.
+  const auto [first, last] = in_flight_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.key == &key) {
+      in_flight_.erase(it);
+      return;
+    }
+  }
+}
+
 ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     std::string key, const std::function<ScheduleResult()>& compute, std::size_t weight) {
   const std::uint64_t hash = fnv1a64(key);
+  return get_or_compute(hash, std::move(key), compute, weight);
+}
 
+ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
+    std::uint64_t hash, std::string key, const std::function<ScheduleResult()>& compute,
+    std::size_t weight) {
   std::shared_future<Flight> pending;
   // Constructed only on the miss path: a promise allocates shared state,
   // which the hit path (the whole point of the cache) must not pay for.
@@ -137,13 +144,13 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
       }
       erase_expired_locked(it);  // fall through: this lookup is a miss (or a race)
     }
-    if (const auto flight = in_flight_.find(key); flight != in_flight_.end()) {
+    if (const auto flight = find_in_flight_locked(hash, key); flight != in_flight_.end()) {
       ++stats_.races;
-      pending = flight->second;
+      pending = flight->second.flight;
     } else {
       ++stats_.misses;
       promise.emplace();
-      in_flight_.emplace(key, promise->get_future().share());
+      in_flight_.emplace(hash, InFlight{&key, promise->get_future().share()});
     }
   }
   // Race loser: share the in-flight computation. A failure arrives as a
@@ -163,7 +170,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   } catch (...) {
     {
       const MutexLock lock(mutex_);
-      in_flight_.erase(key);  // next request for this key retries
+      erase_in_flight_locked(hash, key);  // next request for this key retries
     }
     // Settle the losers with the error detail as a value, then rethrow the
     // original exception locally for this caller.
@@ -172,7 +179,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   }
   {
     const MutexLock lock(mutex_);
-    in_flight_.erase(key);
+    erase_in_flight_locked(hash, key);  // before `key` moves into the LRU below
     if (weight == 0) weight = 1;
     if (weight > capacity_) {
       // Admission refusal: an entry heavier than the whole capacity can
@@ -193,7 +200,10 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
 }
 
 ScheduleCache::ResultPtr ScheduleCache::try_get(std::string_view key) {
-  const std::uint64_t hash = fnv1a64(key);
+  return try_get(fnv1a64(key), key);
+}
+
+ScheduleCache::ResultPtr ScheduleCache::try_get(std::uint64_t hash, std::string_view key) {
   const MutexLock lock(mutex_);
   const Lru::const_iterator it = find_entry_locked(hash, key);
   if (it == lru_.cend()) return nullptr;

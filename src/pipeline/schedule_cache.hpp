@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "pipeline/scheduler.hpp"
+#include "support/hash.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace sts {
@@ -27,9 +28,11 @@ namespace sts {
                                               std::string_view scheduler,
                                               const MachineConfig& machine);
 
-/// 64-bit key hash (the bucket index of ScheduleCache entries): FNV-1a over
-/// 8-byte words with a final avalanche mix.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view text) noexcept;
+/// Appends canonical_cache_key(graph, scheduler, machine) to `out`, writing
+/// the graph fingerprint in place: one buffer, no intermediate copy of a
+/// multi-megabyte key.
+void append_canonical_cache_key(std::string& out, const TaskGraph& graph,
+                                std::string_view scheduler, const MachineConfig& machine);
 
 /// Memoizes full pipeline results keyed by the canonical graph+config hash,
 /// in the spirit of the program caches of dataflow runtimes: repeated
@@ -128,10 +131,24 @@ class ScheduleCache {
                                          const std::function<ScheduleResult()>& compute,
                                          std::size_t weight = 1) EXCLUDES(mutex_);
 
+  /// As above, with the key's hash supplied by the caller (the serving layer
+  /// passes ScheduleRequest::key_hash(), so a large key is hashed once per
+  /// request, not once per probe). Every call for one key must pass the same
+  /// hash — fnv1a64(key), which the unhashed overloads compute. Entries and
+  /// in-flight computations are bucketed by the hash and matched by the full
+  /// key, so distinct keys sharing a hash never alias.
+  [[nodiscard]] ResultPtr get_or_compute(std::uint64_t hash, std::string key,
+                                         const std::function<ScheduleResult()>& compute,
+                                         std::size_t weight = 1) EXCLUDES(mutex_);
+
   /// Non-blocking probe: the completed entry for `key` (bumping its recency
   /// and counting a hit), or nullptr. Absence is not counted as a miss —
   /// callers fall through to get_or_compute, which classifies the lookup.
   [[nodiscard]] ResultPtr try_get(std::string_view key) EXCLUDES(mutex_);
+
+  /// try_get with the key's hash supplied (same contract as the hashed
+  /// get_or_compute).
+  [[nodiscard]] ResultPtr try_get(std::uint64_t hash, std::string_view key) EXCLUDES(mutex_);
 
   /// True if a completed, unexpired entry for `key` is cached. No recency
   /// bump, no stats, and no erasure of an expired entry (this is a const
@@ -185,8 +202,21 @@ class ScheduleCache {
   Lru lru_ GUARDED_BY(mutex_);  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::vector<Lru::const_iterator>> buckets_
       GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::shared_future<Flight>> in_flight_
-      GUARDED_BY(mutex_);
+  /// A computation in progress. `key` points at the computing caller's own
+  /// key string, which outlives the entry (the caller erases the entry
+  /// before moving its key into the LRU), so the table never copies a key.
+  struct InFlight {
+    const std::string* key = nullptr;
+    std::shared_future<Flight> flight;
+  };
+  using InFlightTable = std::unordered_multimap<std::uint64_t, InFlight>;
+
+  [[nodiscard]] InFlightTable::iterator find_in_flight_locked(std::uint64_t hash,
+                                                              std::string_view key)
+      REQUIRES(mutex_);
+  void erase_in_flight_locked(std::uint64_t hash, const std::string& key) REQUIRES(mutex_);
+
+  InFlightTable in_flight_ GUARDED_BY(mutex_);  ///< keyed by key hash
   std::size_t capacity_ GUARDED_BY(mutex_);
   /// nullopt = never expire.
   std::optional<std::chrono::nanoseconds> ttl_ GUARDED_BY(mutex_);

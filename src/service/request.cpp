@@ -97,18 +97,29 @@ std::string GraphRef::label() const {
 
 const std::string& ScheduleRequest::key() const {
   if (!key_.value.empty()) return key_.value;
+  const std::string sim_key = sim ? sim->cache_key() : std::string();
   std::string key;
-  key.reserve(96 + 9 * graph.node_count() + 24 * graph.edge_count());
+  // One buffer sized for the whole key (header, scheduler, machine key with
+  // its pe_speed list, fingerprint, sim suffix), so the fingerprint of a
+  // large graph is written once and never moved by a reallocation.
+  key.reserve(160 + scheduler.size() + 32 * machine.pe_speed.size() + 9 * graph.node_count() +
+              24 * graph.edge_count() + sim_key.size());
   key += "schema=";
   append_number(key, schema_version);
   key += '\n';
-  key += canonical_cache_key(graph, scheduler, machine);
+  append_canonical_cache_key(key, graph, scheduler, machine);
   if (sim) {
     key += '\n';
-    key += sim->cache_key();
+    key += sim_key;
   }
+  key_.hash = fnv1a64(key);
   key_.value = std::move(key);
   return key_.value;
+}
+
+std::uint64_t ScheduleRequest::key_hash() const {
+  (void)key();
+  return key_.hash;
 }
 
 std::string ScheduleRequest::release_key() {
@@ -117,7 +128,7 @@ std::string ScheduleRequest::release_key() {
 }
 
 std::string ScheduleRequest::key_digest() const {
-  std::uint64_t hash = fnv1a64(key());
+  std::uint64_t hash = key_hash();
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<std::size_t>(i)] = "0123456789abcdef"[hash & 0xf];

@@ -120,19 +120,29 @@ struct ScheduleRequest {
   /// Canonical cache/routing key: schema version, scheduler, machine config,
   /// the graph's canonical_fingerprint, and the sim options when present.
   /// Delivery hints (admission, priority, label) and the generator ref are
-  /// excluded — identity is the scenario, not how it is delivered. Memoized
-  /// on first call: treat the request as immutable afterwards. Copies drop
-  /// the memo (a copy is usually made to be edited); moves keep it.
+  /// excluded — identity is the scenario, not how it is delivered. Built in
+  /// one buffer and memoized on first call together with key_hash(): treat
+  /// the request as immutable afterwards. Copies drop the memo (a copy is
+  /// usually made to be edited); moves keep it.
   [[nodiscard]] const std::string& key() const;
 
-  /// Moves the (possibly multi-kilobyte) key out of the memo, computing it
+  /// fnv1a64(key()), computed once beside the key memo. The one hash every
+  /// serving layer uses for this request: ShardRouter routing, the
+  /// service's shard pick, and ScheduleCache's probes and in-flight table —
+  /// so a 10^5-node request's multi-megabyte key is hashed once, not once
+  /// per layer. Computes key() first if needed; dropped with the key memo.
+  [[nodiscard]] std::uint64_t key_hash() const;
+
+  /// Moves the (possibly multi-megabyte) key out of the memo, computing it
   /// first if needed — the service worker hands it to the cache without
-  /// re-copying. The memo is left empty; a later key() recomputes.
+  /// re-copying. The memo is left empty; a later key() (or key_hash())
+  /// recomputes, so read key_hash() before releasing.
   [[nodiscard]] std::string release_key();
 
-  /// 16-hex-digit digest of key(): the compact request identity delta
-  /// requests name in `base_key`, and exactly the fnv1a64 hash a ShardRouter
-  /// routes the request by.
+  /// key_hash() as 16 lowercase hex digits: the compact request identity
+  /// delta requests name in `base_key`. A ShardRouter routes a delta by
+  /// parsing this digest back into the hash, so it lands where its base
+  /// request was routed. Costs no pass over the key once key() is memoized.
   [[nodiscard]] std::string key_digest() const;
 
   /// Drops the key() memo. Must be called after mutating any key-relevant
@@ -164,6 +174,7 @@ struct ScheduleRequest {
     MemoizedKey& operator=(MemoizedKey&&) noexcept = default;
 
     std::string value;
+    std::uint64_t hash = 0;  ///< fnv1a64(value); meaningful iff value is set
   };
   mutable MemoizedKey key_;  ///< memoized by key()
 };

@@ -70,12 +70,10 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
                                     "' (never submitted here, or aged out of the base registry)");
       }
       request.graph = apply_graph_edits(*base, request.edits);
-      // Validate the composed graph NOW, not at schedule time: the cache key
-      // hashes *derived* volumes (canonical_fingerprint uses out-edge
-      // volumes, not declared-output records), so an edit list composing a
-      // non-canonical graph — say a retuned output contradicting its
-      // out-edge volume — would alias its still-valid base's key and
-      // silently return the base's cached result instead of failing.
+      // Validate the composed graph NOW, not at schedule time: an edit list
+      // composing a non-canonical graph — say a retuned output contradicting
+      // its out-edge volume — fails here as a typed composition error, before
+      // it is keyed, cached, or remembered as a base for later deltas.
       if (const std::vector<std::string> violations = request.graph.validate();
           !violations.empty()) {
         std::string message = "ScheduleService: edits compose an invalid graph:";
@@ -107,9 +105,11 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // the machine cache_key() (results are bit-identical at every value), so
   // this cannot change which cache entry the request maps to.
   request.machine.intra_threads = request.intra_threads.value_or(intra_threads_);
-  // Memoizes inside the request, so the worker (and a fronting ShardRouter)
-  // never re-derives it.
+  // Memoizes the key and its hash inside the request (or reuses what a
+  // fronting ShardRouter memoized): the cache probe, the shard pick, and the
+  // worker's lookup below all reuse this one hash.
   const std::string& key = request.key();
+  const std::uint64_t hash = request.key_hash();
   // Every submitted request can serve as a delta base — including a
   // materialized delta, so edit chains resolve link by link.
   remember_base(request.key_digest(), request.graph);
@@ -124,7 +124,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
 
   // Fast path: an already-completed result resolves synchronously without a
   // queue round trip. Admission control never refuses a cached answer.
-  if (ResultPtr hit = cache_.try_get(key)) {
+  if (ResultPtr hit = cache_.try_get(hash, key)) {
     promise.set_value(Settled{std::move(hit), {}, false, std::nullopt});
     {
       const MutexLock lock(stats_mutex_);
@@ -137,7 +137,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
 
   // Shard by cache-key hash: identical scenarios serialize on one worker (in
   // submission order), distinct ones spread across the pool.
-  const std::size_t shard_index = fnv1a64(key) % shards_.size();
+  const std::size_t shard_index = hash % shards_.size();
   Shard& shard = *shards_[shard_index];
   try {
     MutexLock lock(shard.mutex);
@@ -251,8 +251,9 @@ void ScheduleService::worker_loop(Shard& shard) {
     }
     Settled settled;
     try {
+      const std::uint64_t hash = job.request.key_hash();  // before the key moves out
       settled.result = cache_.get_or_compute(
-          job.request.release_key(), [this, &job] { return compute_job(job); },
+          hash, job.request.release_key(), [this, &job] { return compute_job(job); },
           job.request.graph.node_count());
     } catch (...) {
       settled = settled_from_flight(ScheduleCache::settle_current_exception());

@@ -70,7 +70,7 @@ struct ServiceConfig {
 /// ScheduleCache.
 ///
 /// Each request is keyed by `ScheduleRequest::key()` and sharded to the
-/// worker `fnv1a64(key) % num_workers`, so identical scenarios land on the
+/// worker `key_hash() % num_workers`, so identical scenarios land on the
 /// same queue in order; together with the cache's single-flight miss path
 /// this guarantees that N concurrent submissions of the same scenario run
 /// the scheduling pipeline exactly once and share one immutable result.

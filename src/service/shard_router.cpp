@@ -28,20 +28,22 @@ bool parse_digest(std::string_view digest, std::uint64_t& hash) {
   return true;
 }
 
-/// The 64-bit hash a request routes by. A delta request routes by the digest
-/// it names: `key_digest()` is the hex form of fnv1a64(key), i.e. exactly the
-/// hash its base request was routed by — so the delta lands on the backend
-/// whose base registry holds the graph and whose fragment cache is warm.
-/// key() must not be touched on a delta (its graph is not materialized yet;
-/// the memo would serve a stale identity). A malformed digest still routes
-/// deterministically and fails with "unknown base_key" at the backend.
+/// The 64-bit hash a request routes by: its memoized key_hash(), which the
+/// backend's shard pick and cache probes then reuse. A delta request routes
+/// by the digest it names: `key_digest()` is the hex form of key_hash(), i.e.
+/// exactly the hash its base request was routed by — so the delta lands on
+/// the backend whose base registry holds the graph and whose fragment cache
+/// is warm. key() must not be touched on a delta (its graph is not
+/// materialized yet; the memo would serve a stale identity). A malformed
+/// digest still routes deterministically and fails with "unknown base_key"
+/// at the backend.
 std::uint64_t routing_hash(const ScheduleRequest& request) {
   if (request.base_key.has_value()) {
     std::uint64_t hash = 0;
     if (parse_digest(*request.base_key, hash)) return hash;
     return fnv1a64(*request.base_key);
   }
-  return fnv1a64(request.key());
+  return request.key_hash();
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ struct RouterConfig {
 ///
 /// Routing: each backend owns `virtual_nodes` points on a 64-bit ring,
 /// placed at `fnv1a64("backend <i> vnode <j>")`; a request routes to the
-/// owner of the first ring point at or after `fnv1a64(request.key())`
+/// owner of the first ring point at or after `request.key_hash()`
 /// (wrapping). Identical requests therefore always land on the same backend
 /// (whose own key-sharding then serializes them onto one worker and
 /// single-flights the computation), and resizing from N to N+1 backends

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -634,11 +635,10 @@ TEST(DeltaRequest, UnknownBaseKeyFailsTheFutureNotTheService) {
 }
 
 TEST(DeltaRequest, InvalidCompositionFailsInsteadOfAliasingTheBase) {
-  // The cache key hashes *derived* volumes, so an edit list that composes a
-  // non-canonical graph (a retuned declared output contradicting its
-  // out-edge volume) fingerprints identically to its valid base. Without
-  // materialization-time validation the delta would silently return the
-  // base's cached result; it must fail the future instead.
+  // An edit list that composes a non-canonical graph (a retuned declared
+  // output contradicting its out-edge volume) must fail the future with the
+  // composition error — never return the valid base's cached result, whose
+  // derived volumes it shares.
   ScheduleService service(ServiceConfig{1});
   ScheduleRequest base = base_request();
   const TaskGraph base_graph = base.graph;
@@ -664,6 +664,93 @@ TEST(DeltaRequest, InvalidCompositionFailsInsteadOfAliasingTheBase) {
   EXPECT_NE(response.error.find("invalid graph"), std::string::npos) << response.error;
   service.wait_idle();
   EXPECT_EQ(service.stats().failed, 1u);
+}
+
+// ------------------------------------------------ declared-output aliasing
+
+/// `graph` with the first non-exit compute node's declared output
+/// contradicting its out-edge volume: invalid, yet equal to `graph` in every
+/// derived volume (output_volume() reads the out-edges).
+TaskGraph contradict_declared_output(const TaskGraph& graph) {
+  TaskGraph twin = graph;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
+    if (graph.kind(v) == NodeKind::kCompute && graph.out_degree(v) > 0) {
+      twin.declare_output(v, graph.output_volume(v) + 1);
+      return twin;
+    }
+  }
+  throw std::logic_error("contradict_declared_output: no non-exit compute node");
+}
+
+ScheduleRequest rlx_request(TaskGraph graph) {
+  ScheduleRequest request;
+  request.graph = std::move(graph);
+  request.scheduler = "streaming-rlx";
+  request.machine.num_pes = 4;
+  return request;
+}
+
+TEST(DeclaredOutputAliasing, ValidGraphBytesAreTheDerivedVolumes) {
+  // On a valid graph a declared output equals the derived one, so recording
+  // declarations changes no byte of the fingerprint.
+  const std::vector<TaskGraph> graphs = {testing::figure8_graph(), testing::figure9_graph2(),
+                                         testing::buffer_split_example(),
+                                         multi_component_graph(3, 67),
+                                         make_fft(16, 3), make_cholesky(5, 4)};
+  for (const TaskGraph& g : graphs) {
+    ASSERT_TRUE(g.validate().empty());
+    std::string derived;
+    const auto put64 = [&derived](std::int64_t value) {
+      derived.append(reinterpret_cast<const char*>(&value), 8);
+    };
+    put64(static_cast<std::int64_t>(g.node_count()));
+    put64(static_cast<std::int64_t>(g.edge_count()));
+    for (NodeId v = 0; static_cast<std::size_t>(v) < g.node_count(); ++v) {
+      derived += static_cast<char>(g.kind(v));
+      put64(g.output_volume(v));
+    }
+    for (const Edge& edge : g.edges()) {
+      put64(edge.src);
+      put64(edge.dst);
+      put64(edge.volume);
+    }
+    EXPECT_EQ(canonical_fingerprint(g), derived);
+  }
+}
+
+TEST(DeclaredOutputAliasing, InvalidTwinIsNotServedTheValidCachedResult) {
+  const TaskGraph valid = multi_component_graph(3, 67);
+  const TaskGraph twin = contradict_declared_output(valid);
+  ASSERT_FALSE(twin.validate().empty());
+  MachineConfig machine;
+  machine.num_pes = 4;
+  EXPECT_THROW((void)schedule_by_name("streaming-rlx", twin, machine), std::invalid_argument);
+  EXPECT_NE(canonical_fingerprint(twin), canonical_fingerprint(valid));
+
+  ScheduleService service(ServiceConfig{1});
+  ASSERT_TRUE(service.schedule(rlx_request(valid)).ok());
+  const ScheduleResponse response = service.schedule(rlx_request(twin));
+  EXPECT_FALSE(response.ok()) << "the invalid twin was served the valid graph's cached result";
+  EXPECT_NE(response.error.find("not a valid canonical task graph"), std::string::npos)
+      << response.error;
+}
+
+TEST(DeclaredOutputAliasing, InvalidPartitionIsNotAssembledFromTheValidFragment) {
+  // A is component 0 of the two-component graph; A' + B contradicts a
+  // declaration inside A. The whole-graph key is new, so the request reaches
+  // fragment assembly, where A' must miss A's cached fragment.
+  const TaskGraph a = multi_component_graph(1, 67);
+  const TaskGraph twin_ab = contradict_declared_output(multi_component_graph(2, 67));
+  MachineConfig machine;
+  machine.num_pes = 4;
+  EXPECT_THROW((void)schedule_by_name("streaming-rlx", twin_ab, machine), std::invalid_argument);
+
+  ScheduleService service(ServiceConfig{1});
+  ASSERT_TRUE(service.schedule(rlx_request(a)).ok());
+  const ScheduleResponse response = service.schedule(rlx_request(twin_ab));
+  EXPECT_FALSE(response.ok()) << "A' + B was assembled from A's cached fragment";
+  EXPECT_NE(response.error.find("not a valid canonical task graph"), std::string::npos)
+      << response.error;
 }
 
 TEST(DeltaRequest, RouterRoutesDeltaToTheBaseBackend) {

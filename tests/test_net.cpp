@@ -189,6 +189,9 @@ TEST(StsServer, HealthzIsAliveAndStatsServesTheBackendDocument) {
   EXPECT_EQ(parse_json(health.body).at("status").as_string(), "ok");
 
   (void)fixture.service->schedule(chain_request(12, 1));
+  // The worker settles the future before it counts the completion: wait for
+  // the books to balance, or /stats can read completed == 0.
+  fixture.service->wait_idle();
   const HttpResponse stats = one_shot(fixture.port(), render_http_request("GET", "/stats", ""));
   EXPECT_EQ(stats.status, 200);
   const JsonValue doc = parse_json(stats.body);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -202,6 +203,91 @@ TEST(ScheduleCacheSingleFlight, ConcurrentEvictionKeepsBoundAndBooks) {
   EXPECT_EQ(stats.hits + stats.misses + stats.races,
             static_cast<std::uint64_t>(kThreads) * kIterations);
   EXPECT_GT(stats.evictions, 0u);
+}
+
+// Spins (bounded) until `done` holds; false on timeout, so a broken
+// single-flight fails the test instead of hanging it.
+template <typename Predicate>
+bool wait_until(Predicate done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// The in-flight table is bucketed by the caller-supplied hash and matched by
+// the full key: two distinct keys forced onto one hash, both held in flight
+// at once, are two misses, never a race on each other's computation.
+TEST(ScheduleCacheSingleFlight, ForcedHashCollisionKeepsInFlightKeysApart) {
+  constexpr std::uint64_t kForcedHash = 0x5eed;
+  ScheduleCache cache(8);
+  std::atomic<int> started{0};
+  std::latch release(1);
+  const auto held = [&started, &release](std::int64_t makespan) {
+    return [&started, &release, makespan] {
+      ++started;
+      release.wait();
+      ScheduleResult r;
+      r.makespan = makespan;
+      return r;
+    };
+  };
+
+  ScheduleCache::ResultPtr a;
+  ScheduleCache::ResultPtr b;
+  std::thread first([&] { a = cache.get_or_compute(kForcedHash, "key-a", held(1)); });
+  std::thread second([&] { b = cache.get_or_compute(kForcedHash, "key-b", held(2)); });
+  EXPECT_TRUE(wait_until([&] { return started.load() == 2; }))
+      << "both computations must be in flight at once";
+  release.count_down();
+  first.join();
+  second.join();
+
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->makespan, 1);
+  EXPECT_EQ(b->makespan, 2);
+  const ScheduleCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.races, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.try_get(kForcedHash, "key-a")->makespan, 1);
+  EXPECT_EQ(cache.try_get(kForcedHash, "key-b")->makespan, 2);
+}
+
+// The same key twice under the forced hash still single-flights: one miss,
+// one race, one computation, one shared result.
+TEST(ScheduleCacheSingleFlight, ForcedHashSameKeyStillRaces) {
+  constexpr std::uint64_t kForcedHash = 0x5eed;
+  ScheduleCache cache(8);
+  std::atomic<int> computed{0};
+  std::latch release(1);
+  const auto held = [&computed, &release] {
+    ++computed;
+    release.wait();
+    ScheduleResult r;
+    r.makespan = 7;
+    return r;
+  };
+
+  ScheduleCache::ResultPtr a;
+  ScheduleCache::ResultPtr b;
+  std::thread first([&] { a = cache.get_or_compute(kForcedHash, "key", held); });
+  EXPECT_TRUE(wait_until([&] { return computed.load() == 1; }));
+  std::thread second([&] { b = cache.get_or_compute(kForcedHash, "key", held); });
+  EXPECT_TRUE(wait_until([&] { return cache.stats().races == 1; }))
+      << "the second caller must join the in-flight computation";
+  release.count_down();
+  first.join();
+  second.join();
+
+  EXPECT_EQ(computed.load(), 1);
+  EXPECT_EQ(a, b) << "both callers share one result";
+  const ScheduleCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.races, 1u);
 }
 
 // ------------------------------------------------------ size-aware admission

@@ -5,9 +5,10 @@ Run from anywhere: `python3 tools/lint_sts.py`. Exits non-zero listing every
 violation. Enforced rules:
 
  1. `intra_threads` is a pure execution knob: it must never appear inside a
-    cache-key code path (any function named `key`, `cache_key`, or
-    `canonical_cache_key`) — results are bit-identical at every lane count,
-    so letting it into a key would silently split the cache.
+    cache-key code path (any function in KEY_FUNC_NAMES: `key`, `cache_key`,
+    the canonical cache-key and fingerprint writers, and the key hash and
+    digest) — results are bit-identical at every lane count, so letting it
+    into a key would silently split the cache.
 
  2. Every counter declared in a `struct Stats` must be rendered by a
     stats_json() implementation AND documented in the README stats table:
@@ -28,6 +29,14 @@ violation. Enforced rules:
     aggregate), and the parser must not read keys the renderer never writes.
     Gauges (workers, cache_weight, ...) are point-in-time values read through
     other paths and are allowlisted.
+
+ 6. A request key is hashed once, where ScheduleRequest memoizes it: no code
+    in src/service/ or src/net/ passes a request key (`key`, `key_`,
+    `release_key`, ...) to fnv1a64 — routing, shard picks, and cache probes
+    reuse `key_hash()`, since one pass over a 10^5-node request's key costs
+    milliseconds. The memo itself and the router's raw-key lookup
+    (`backend_for_key`, which has no request to read a hash from) are the
+    allowlisted sites.
 """
 
 from __future__ import annotations
@@ -41,7 +50,16 @@ SRC = REPO / "src"
 BENCH = REPO / "bench"
 README = REPO / "README.md"
 
-KEY_FUNC_NAMES = ("key", "cache_key", "canonical_cache_key")
+KEY_FUNC_NAMES = (
+    "key",
+    "cache_key",
+    "canonical_cache_key",
+    "append_canonical_cache_key",
+    "canonical_fingerprint",
+    "append_canonical_fingerprint",
+    "key_hash",
+    "key_digest",
+)
 
 
 def fail(errors: list[str], message: str) -> None:
@@ -49,16 +67,18 @@ def fail(errors: list[str], message: str) -> None:
 
 
 def strip_comments(text: str) -> str:
-    """Removes // and /* */ comments (string literals are left alone: good
-    enough for these rules, where the tokens we scan for never appear inside
-    project string literals in a misleading way)."""
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    """Removes // and /* */ comments, keeping line breaks so line numbers hold
+    (string literals are left alone: good enough for these rules, where the
+    tokens we scan for never appear inside project string literals in a
+    misleading way)."""
+    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"), text, flags=re.S)
     return re.sub(r"//[^\n]*", "", text)
 
 
-def function_bodies(text: str, names: tuple[str, ...]):
-    """Yields (name, body) for every definition of a function whose unqualified
-    name is in `names`, by brace tracking from the definition's opening brace."""
+def function_spans(text: str, names: tuple[str, ...]):
+    """Yields (name, start, end) for every definition of a function whose
+    unqualified name is in `names`: text[start:end] is its body, found by
+    brace tracking from the definition's opening brace."""
     pattern = re.compile(
         r"\b(?:[\w~]+\s*::\s*)*(" + "|".join(names) + r")\s*\(([^;{)]*)\)\s*"
         r"(?:const\s*)?(?:noexcept\s*)?(?:->\s*[\w:<>&\s]+)?\{"
@@ -72,8 +92,27 @@ def function_bodies(text: str, names: tuple[str, ...]):
             elif text[i] == "}":
                 depth -= 1
                 if depth == 0:
-                    yield match.group(1), text[start : i + 1]
+                    yield match.group(1), start, i + 1
                     break
+
+
+def function_bodies(text: str, names: tuple[str, ...]):
+    """Yields (name, body) for every definition named in `names`."""
+    for name, start, end in function_spans(text, names):
+        yield name, text[start:end]
+
+
+def call_argument(text: str, open_paren: int) -> str:
+    """The text between the parenthesis at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren + 1 : i]
+    return text[open_paren + 1 :]
 
 
 def check_intra_threads_out_of_keys(errors: list[str]) -> None:
@@ -218,6 +257,39 @@ def check_stats_wire_round_trip(errors: list[str]) -> None:
         )
 
 
+# (file, function) pairs allowed to hash a request key: the memo in
+# ScheduleRequest::key(), and the router's lookup of a caller-supplied raw key.
+KEY_HASH_SITES = {
+    ("src/service/request.cpp", "key"),
+    ("src/service/shard_router.cpp", "backend_for_key"),
+}
+REQUEST_KEY_NAMES = {"key", "key_", "release_key"}
+
+
+def check_request_key_hashed_once(errors: list[str]) -> None:
+    site_names = tuple(sorted({name for _, name in KEY_HASH_SITES}))
+    for directory in (SRC / "service", SRC / "net"):
+        for path in sorted(directory.rglob("*.[ch]pp")):
+            rel = path.relative_to(REPO).as_posix()
+            text = strip_comments(path.read_text())
+            allowed = [
+                (start, end)
+                for name, start, end in function_spans(text, site_names)
+                if (rel, name) in KEY_HASH_SITES
+            ]
+            for match in re.finditer(r"\bfnv1a64\s*\(", text):
+                if any(start <= match.start() < end for start, end in allowed):
+                    continue
+                argument = call_argument(text, match.end() - 1)
+                if REQUEST_KEY_NAMES & set(re.findall(r"[A-Za-z_]\w*", argument)):
+                    line = text.count("\n", 0, match.start()) + 1
+                    fail(
+                        errors,
+                        f"{rel}:{line}: fnv1a64({argument.strip()}) re-hashes a request key "
+                        "— use ScheduleRequest::key_hash(), which is computed once per request",
+                    )
+
+
 def main() -> int:
     errors: list[str] = []
     check_intra_threads_out_of_keys(errors)
@@ -225,6 +297,7 @@ def main() -> int:
     check_sim_internal_private(errors)
     check_bench_reports(errors)
     check_stats_wire_round_trip(errors)
+    check_request_key_hashed_once(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
