@@ -51,13 +51,9 @@
 // materializes inside the service). `--incremental` turns on subgraph-level
 // schedule memoization in the serving stack (per-partition fragment reuse
 // across near-duplicate and delta requests); without it the sweep serves
-// whole-graph cache entries only. The pre-envelope text form is still
-// accepted per line:
-//   chain    <tasks>  <seed> <scheduler> <pes>
-//   fft      <points> <seed> <scheduler> <pes>
-//   gaussian <size>   <seed> <scheduler> <pes>
-//   cholesky <tiles>  <seed> <scheduler> <pes>
-//   file     <path>          <scheduler> <pes>
+// whole-graph cache entries only. A line that is not a valid envelope gets
+// an error record (scenario label "request <line>", no pes or scheduler)
+// and makes the sweep exit 1; the other lines are still served.
 // `--repeat K` submits the list K times (duplicates deduplicate against the
 // service cache, demonstrating single-flight); results are emitted once.
 //
@@ -72,8 +68,6 @@
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <limits>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,7 +86,6 @@
 #include "sim/dataflow_sim.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
-#include "workloads/synthetic.hpp"
 
 namespace {
 
@@ -158,79 +151,26 @@ struct SweepScenario {
   std::string error;  ///< non-empty: scenario failed to parse/build
 };
 
-/// Legacy text scenario line -> request envelope. Generator lines keep their
-/// GraphRef so the scenario re-serializes compactly.
-sts::ScheduleRequest parse_text_scenario(const std::string& kind, std::istringstream& fields) {
-  sts::ScheduleRequest request;
-  if (kind == "file") {
-    std::string path;
-    if (!(fields >> path >> request.scheduler >> request.machine.num_pes)) {
-      throw std::invalid_argument("expected: file <path> <scheduler> <pes>");
-    }
-    request.label = kind + " " + path;
-    std::ifstream file(path);
-    if (!file) throw std::invalid_argument("cannot open " + path);
-    request.graph = sts::load_task_graph(file);
-    return request;
-  }
-  sts::GraphRef ref;
-  ref.generator = kind;
-  std::int64_t seed = 0;
-  if (!(fields >> ref.param >> seed >> request.scheduler >> request.machine.num_pes) ||
-      seed < 0) {
-    throw std::invalid_argument("expected: " + kind + " <param> <seed> <scheduler> <pes>");
-  }
-  ref.seed = static_cast<std::uint64_t>(seed);
-  request.label = ref.label();
-  if (ref.param < 0 || ref.param > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("parameter " + std::to_string(ref.param) + " out of range for " +
-                                kind);
-  }
-  const int p = static_cast<int>(ref.param);
-  if (kind == "chain") {
-    request.graph = sts::make_chain(p, ref.seed);
-  } else if (kind == "fft") {
-    request.graph = sts::make_fft(p, ref.seed);
-  } else if (kind == "gaussian") {
-    request.graph = sts::make_gaussian_elimination(p, ref.seed);
-  } else if (kind == "cholesky") {
-    request.graph = sts::make_cholesky(p, ref.seed);
-  } else {
-    throw std::invalid_argument("unknown scenario kind " + kind);
-  }
-  request.graph_ref = std::move(ref);
-  return request;
-}
-
 std::vector<SweepScenario> parse_scenarios(std::istream& in) {
   std::vector<SweepScenario> scenarios;
   std::string line;
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    std::istringstream fields(line);
-    std::string kind;
-    if (!(fields >> kind) || kind[0] == '#') continue;
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
 
     SweepScenario s;
     try {
-      if (kind[0] == '{') {
-        // Request-envelope JSON line.
-        s.request = sts::ScheduleRequest::from_json(line);
-        if (s.request.label.empty() && s.request.graph_ref) {
-          s.request.label = s.request.graph_ref->label();
-        }
-        if (s.request.label.empty()) {
-          s.request.label = "request " + std::to_string(line_no);
-        }
-      } else {
-        s.request = parse_text_scenario(kind, fields);
+      s.request = sts::ScheduleRequest::from_json(line);
+      if (s.request.label.empty() && s.request.graph_ref) {
+        s.request.label = s.request.graph_ref->label();
       }
+      if (s.request.label.empty()) s.request.label = "request " + std::to_string(line_no);
       s.label = s.request.label;
     } catch (const std::exception& e) {
       s.error = "line " + std::to_string(line_no) + ": " + e.what();
-      if (s.label.empty()) s.label = kind[0] == '{' ? "request " + std::to_string(line_no)
-                                                    : kind;
+      s.label = "request " + std::to_string(line_no);
     }
     scenarios.push_back(std::move(s));
   }
@@ -430,8 +370,9 @@ int run_sweep(int argc, char** argv) {
     SweepScenario& s = scenarios[i];
     // Per-scenario record: the unified ScheduleResponse JSON with the
     // scenario identity spliced in front. Ok responses already carry
-    // "scheduler" (from the result), so the prefix adds it only otherwise —
-    // every record ends up with exactly one scheduler member.
+    // "scheduler" (from the result), so the prefix adds it only to a failed
+    // request; a line that never parsed has no request, so no pes or
+    // scheduler to report.
     ScheduleResponse response;
     if (s.error.empty()) {
       response = admissions[i].wait();
@@ -442,10 +383,12 @@ int run_sweep(int argc, char** argv) {
     any_failed = any_failed || !response.ok();
     std::string prefix = "{\"scenario\": ";
     append_json_quoted(prefix, s.label);
-    prefix += ", \"pes\": " + std::to_string(s.request.machine.num_pes);
-    if (!response.ok()) {
-      prefix += ", \"scheduler\": ";
-      append_json_quoted(prefix, s.request.scheduler);
+    if (s.error.empty()) {
+      prefix += ", \"pes\": " + std::to_string(s.request.machine.num_pes);
+      if (!response.ok()) {
+        prefix += ", \"scheduler\": ";
+        append_json_quoted(prefix, s.request.scheduler);
+      }
     }
     prefix += ", ";
     std::string record = response.to_json();

@@ -640,14 +640,9 @@ std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::find(
     const std::string& raw) {
   const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
-  if (const auto bucket = buckets_.find(digest); bucket != buckets_.end()) {
-    for (const auto it : bucket->second) {
-      if (it->raw == raw) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->ranks;
-      }
-    }
+  if (const auto* hit = lru_.find(digest, raw)) {
+    ++stats_.hits;
+    return *hit;
   }
   ++stats_.misses;
   return nullptr;
@@ -659,27 +654,10 @@ std::shared_ptr<const PartitionCanonMemo::Ranks> PartitionCanonMemo::insert(std:
   auto owned = std::make_shared<const Ranks>(std::move(ranks));
   const std::uint64_t digest = fnv1a64(raw);
   const MutexLock lock(mutex_);
-  auto& bucket = buckets_[digest];
-  for (const auto it : bucket) {
-    if (it->raw == raw) return it->ranks;  // lost a benign compute race
-  }
-  if (weight > capacity_) return owned;  // would evict everything: refuse
-  lru_.push_front(Entry{digest, std::move(raw), weight, owned});
-  bucket.push_back(lru_.begin());
-  weight_ += weight;
-  evict_to_capacity_locked();
-  return owned;
-}
-
-void PartitionCanonMemo::evict_to_capacity_locked() {
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const auto victim = std::prev(lru_.end());
-    auto& bucket = buckets_[victim->digest];
-    std::erase_if(bucket, [&victim](const auto it) { return it == victim; });
-    if (bucket.empty()) buckets_.erase(victim->digest);
-    weight_ -= victim->weight;
-    lru_.pop_back();
-  }
+  // A concurrent insert that won the race keeps its entry; ranks heavier
+  // than the whole memo are refused and returned uncached.
+  const auto inserted = lru_.insert(digest, std::move(raw), owned, weight);
+  return inserted.value != nullptr ? *inserted.value : owned;
 }
 
 PartitionCanonMemo::Stats PartitionCanonMemo::stats() const {
@@ -694,7 +672,7 @@ std::size_t PartitionCanonMemo::size() const {
 
 std::size_t PartitionCanonMemo::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.total_weight();
 }
 
 std::string canonical_partition_form(const TaskGraph& graph,

@@ -2,16 +2,15 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/task_graph.hpp"
 #include "support/json.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -147,7 +146,7 @@ class PartitionCanonMemo {
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit PartitionCanonMemo(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
+      : capacity_(capacity), lru_(capacity) {}
 
   PartitionCanonMemo(const PartitionCanonMemo&) = delete;
   PartitionCanonMemo& operator=(const PartitionCanonMemo&) = delete;
@@ -169,21 +168,10 @@ class PartitionCanonMemo {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  struct Entry {
-    std::uint64_t digest = 0;
-    std::string raw;
-    std::size_t weight = 0;
-    std::shared_ptr<const Ranks> ranks;
-  };
-
-  void evict_to_capacity_locked() REQUIRES(mutex_);
-
   const std::size_t capacity_;
   mutable Mutex mutex_;
-  std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>> buckets_
-      GUARDED_BY(mutex_);
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
+  /// Keyed by the raw content bytes, bucketed by their digest.
+  WeightedLru<std::string, std::shared_ptr<const Ranks>> lru_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -9,23 +9,6 @@
 
 namespace sts {
 
-ScheduleCache::Flight ScheduleCache::settle_current_exception() {
-  Flight flight;
-  try {
-    throw;
-  } catch (const std::invalid_argument& e) {
-    flight.error = e.what();
-    flight.invalid = true;
-  } catch (const std::exception& e) {
-    flight.error = e.what();
-  } catch (...) {
-    flight.error = "unknown error";
-  }
-  // A failure must read as one downstream even if what() was empty.
-  if (flight.error.empty()) flight.error = "unknown error";
-  return flight;
-}
-
 std::string canonical_cache_key(const TaskGraph& graph, std::string_view scheduler,
                                 const MachineConfig& machine) {
   std::string key;
@@ -47,50 +30,24 @@ void append_canonical_cache_key(std::string& out, const TaskGraph& graph,
 }
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::optional<std::chrono::nanoseconds> ttl)
-    : capacity_(capacity), ttl_(ttl) {
-  if (capacity_ == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
+    : lru_(capacity), ttl_(ttl) {
+  if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
 }
 
-ScheduleCache::Lru::const_iterator ScheduleCache::find_entry_locked(std::uint64_t hash,
-                                                             std::string_view key) const {
-  const auto bucket = buckets_.find(hash);
-  if (bucket == buckets_.end()) return lru_.end();
-  for (const Lru::const_iterator it : bucket->second) {
-    if (it->key == key) return it;
-  }
-  return lru_.end();
-}
-
-bool ScheduleCache::is_expired_locked(const Entry& entry) const {
+bool ScheduleCache::is_expired_locked(const Cached& entry) const {
   // One steady_clock read per probe, and only when a ttl is configured at
   // all — the default (no ttl) pays nothing. ttl == 0 expires every entry
   // on its next probe, which tests use for deterministic expiry.
   return ttl_ && std::chrono::steady_clock::now() - entry.inserted >= *ttl_;
 }
 
-void ScheduleCache::erase_expired_locked(Lru::const_iterator it) {
-  auto& bucket = buckets_[it->hash];
-  std::erase(bucket, it);
-  if (bucket.empty()) buckets_.erase(it->hash);
-  weight_ -= it->weight;
+const ScheduleCache::Cached* ScheduleCache::find_live_locked(std::uint64_t hash,
+                                                             std::string_view key) {
+  const Cached* entry = lru_.find(hash, key);
+  if (entry == nullptr || !is_expired_locked(*entry)) return entry;
+  lru_.erase(hash, key);
   ++stats_.expired;
-  lru_.erase(it);
-}
-
-void ScheduleCache::evict_to_capacity_locked() {
-  // Weight-aware LRU eviction; oversize entries are refused at admission
-  // (get_or_compute / set_capacity keep weight_ <= capacity_ reachable), so
-  // this always terminates with the bound restored.
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const Lru::const_iterator victim = std::prev(lru_.cend());
-    auto& bucket = buckets_[victim->hash];
-    std::erase(bucket, victim);
-    if (bucket.empty()) buckets_.erase(victim->hash);
-    weight_ -= victim->weight;
-    ++stats_.evictions;
-    stats_.evicted_weight += victim->weight;
-    lru_.pop_back();
-  }
+  return nullptr;
 }
 
 ScheduleCache::ResultPtr ScheduleCache::get_or_schedule(const TaskGraph& graph,
@@ -130,19 +87,15 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
 ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     std::uint64_t hash, std::string key, const std::function<ScheduleResult()>& compute,
     std::size_t weight) {
-  std::shared_future<Flight> pending;
+  std::shared_future<Settled> pending;
   // Constructed only on the miss path: a promise allocates shared state,
   // which the hit path (the whole point of the cache) must not pay for.
-  std::optional<std::promise<Flight>> promise;
+  std::optional<std::promise<Settled>> promise;
   {
     const MutexLock lock(mutex_);
-    if (const Lru::const_iterator it = find_entry_locked(hash, key); it != lru_.cend()) {
-      if (!is_expired_locked(*it)) {
-        ++stats_.hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->result;
-      }
-      erase_expired_locked(it);  // fall through: this lookup is a miss (or a race)
+    if (const Cached* hit = find_live_locked(hash, key)) {
+      ++stats_.hits;
+      return hit->result;
     }
     if (const auto flight = find_in_flight_locked(hash, key); flight != in_flight_.end()) {
       ++stats_.races;
@@ -155,12 +108,7 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
   }
   // Race loser: share the in-flight computation. A failure arrives as a
   // value and is rethrown here, on this thread.
-  if (pending.valid()) {
-    const Flight& flight = pending.get();
-    if (flight.error.empty()) return flight.result;
-    if (flight.invalid) throw std::invalid_argument(flight.error);
-    throw std::runtime_error(flight.error);
-  }
+  if (pending.valid()) return pending.get().result_or_throw();
 
   // Miss: compute outside the lock — scheduling dominates, and concurrent
   // misses on distinct keys must not serialize behind each other.
@@ -174,14 +122,17 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
     }
     // Settle the losers with the error detail as a value, then rethrow the
     // original exception locally for this caller.
-    promise->set_value(settle_current_exception());
+    promise->set_value(Settled::from_current_exception());
     throw;
   }
   {
     const MutexLock lock(mutex_);
     erase_in_flight_locked(hash, key);  // before `key` moves into the LRU below
     if (weight == 0) weight = 1;
-    if (weight > capacity_) {
+    const auto inserted =
+        lru_.insert(hash, std::move(key), Cached{result, std::chrono::steady_clock::now()},
+                    weight);
+    if (inserted.value == nullptr) {
       // Admission refusal: an entry heavier than the whole capacity can
       // never fit, and admitting it would only churn out every resident.
       // Counted with the evictions so the books still explain the miss
@@ -189,13 +140,11 @@ ScheduleCache::ResultPtr ScheduleCache::get_or_compute(
       ++stats_.evictions;
       stats_.evicted_weight += weight;
     } else {
-      weight_ += weight;
-      lru_.push_front(Entry{hash, std::move(key), weight, result, std::chrono::steady_clock::now()});
-      buckets_[hash].push_back(lru_.begin());
-      evict_to_capacity_locked();
+      stats_.evictions += inserted.evicted.count;
+      stats_.evicted_weight += inserted.evicted.weight;
     }
   }
-  promise->set_value(Flight{result, {}, false});
+  promise->set_value(Settled{result, {}, false, std::nullopt});
   return result;
 }
 
@@ -205,22 +154,17 @@ ScheduleCache::ResultPtr ScheduleCache::try_get(std::string_view key) {
 
 ScheduleCache::ResultPtr ScheduleCache::try_get(std::uint64_t hash, std::string_view key) {
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  if (it == lru_.cend()) return nullptr;
-  if (is_expired_locked(*it)) {
-    erase_expired_locked(it);
-    return nullptr;
-  }
+  const Cached* hit = find_live_locked(hash, key);
+  if (hit == nullptr) return nullptr;
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it);
-  return it->result;
+  return hit->result;
 }
 
 bool ScheduleCache::contains(std::string_view key) const {
   const std::uint64_t hash = fnv1a64(key);
   const MutexLock lock(mutex_);
-  const Lru::const_iterator it = find_entry_locked(hash, key);
-  return it != lru_.cend() && !is_expired_locked(*it);
+  const Cached* entry = lru_.peek(hash, key);
+  return entry != nullptr && !is_expired_locked(*entry);
 }
 
 void ScheduleCache::set_ttl(std::optional<std::chrono::nanoseconds> ttl) {
@@ -241,10 +185,13 @@ ScheduleCache::Stats ScheduleCache::stats() const {
     // next mutating probe of its key, yet contains()/try_get already read it
     // as absent. Count such residents here so stats().expired agrees with the
     // lookup behavior at all times, not just after the drop.
+    // The visitor reads a copy of the ttl: thread-safety analysis checks a
+    // lambda body without the caller's lock.
+    const std::chrono::nanoseconds ttl = *ttl_;
     const std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now();
-    for (const Entry& entry : lru_) {
-      if (now - entry.inserted >= *ttl_) ++out.expired;
-    }
+    lru_.for_each([&out, now, ttl](const Cached& entry) {
+      if (now - entry.inserted >= ttl) ++out.expired;
+    });
   }
   return out;
 }
@@ -256,26 +203,25 @@ std::size_t ScheduleCache::size() const {
 
 std::size_t ScheduleCache::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.total_weight();
 }
 
 std::size_t ScheduleCache::capacity() const {
   const MutexLock lock(mutex_);
-  return capacity_;
+  return lru_.capacity();
 }
 
 void ScheduleCache::set_capacity(std::size_t capacity) {
   if (capacity == 0) throw std::invalid_argument("ScheduleCache: capacity must be >= 1");
   const MutexLock lock(mutex_);
-  capacity_ = capacity;
-  evict_to_capacity_locked();
+  const auto evicted = lru_.set_capacity(capacity);
+  stats_.evictions += evicted.count;
+  stats_.evicted_weight += evicted.weight;
 }
 
 void ScheduleCache::clear() {
   const MutexLock lock(mutex_);
   lru_.clear();
-  buckets_.clear();
-  weight_ = 0;
   stats_ = Stats{};
 }
 

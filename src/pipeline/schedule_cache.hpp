@@ -5,16 +5,16 @@
 #include <functional>
 #include <optional>
 #include <future>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "pipeline/scheduler.hpp"
+#include "pipeline/settled.hpp"
 #include "support/hash.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -58,7 +58,7 @@ void append_canonical_cache_key(std::string& out, const TaskGraph& graph,
 /// that arrives while that computation is in flight blocks on it and shares
 /// the result (a `race`). A compute that throws propagates the failure to
 /// all waiters (race losers rethrow a locally reconstructed exception — see
-/// `Flight`) and leaves the key uncached, so the next request retries.
+/// `Settled`) and leaves the key uncached, so the next request retries.
 /// Consequently `Stats::misses` equals the number of schedules actually
 /// computed, and hits + misses + races equals the number of lookups.
 ///
@@ -74,25 +74,6 @@ void append_canonical_cache_key(std::string& out, const TaskGraph& graph,
 class ScheduleCache {
  public:
   using ResultPtr = std::shared_ptr<const ScheduleResult>;
-
-  /// A settled computation shared across threads as a plain value: exactly
-  /// one of `result` (success) or `error` (failure detail) is populated.
-  /// Errors deliberately cross thread boundaries as strings rather than as
-  /// a stored `exception_ptr`: libstdc++ refcounts exception objects inside
-  /// uninstrumented runtime code, so ThreadSanitizer cannot order a
-  /// cross-thread rethrow against the thrower and reports a false data
-  /// race. Consumers rebuild the exception locally (`invalid` selects
-  /// std::invalid_argument over std::runtime_error).
-  struct Flight {
-    ResultPtr result;
-    std::string error;     ///< non-empty iff the computation failed
-    bool invalid = false;  ///< failure maps to std::invalid_argument
-  };
-
-  /// Folds the in-flight exception into a `Flight` failure value. Must be
-  /// called from inside a catch block; the rethrow-and-classify stays on
-  /// the calling thread, which is the whole point — see `Flight`.
-  [[nodiscard]] static Flight settle_current_exception();
 
   struct Stats {
     std::uint64_t hits = 0;       ///< completed entry found in the cache
@@ -179,35 +160,28 @@ class ScheduleCache {
   [[nodiscard]] static ScheduleCache& global();
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::string key;  ///< full canonical key, checked on every probe
-    std::size_t weight = 1;
+  struct Cached {
     ResultPtr result;
     /// Insertion time, for ttl expiry. Always recorded (one steady_clock
     /// read on the miss path, where scheduling dominates anyway) so a ttl
     /// configured later still applies to resident entries.
     std::chrono::steady_clock::time_point inserted;
   };
-  using Lru = std::list<Entry>;
 
-  [[nodiscard]] Lru::const_iterator find_entry_locked(std::uint64_t hash,
-                                                      std::string_view key) const
+  [[nodiscard]] bool is_expired_locked(const Cached& entry) const REQUIRES(mutex_);
+  /// The unexpired entry under (hash, key), made most recent, or nullptr. An
+  /// expired entry found on the way is dropped and counted in `expired`.
+  [[nodiscard]] const Cached* find_live_locked(std::uint64_t hash, std::string_view key)
       REQUIRES(mutex_);
-  [[nodiscard]] bool is_expired_locked(const Entry& entry) const REQUIRES(mutex_);
-  void erase_expired_locked(Lru::const_iterator it) REQUIRES(mutex_);
-  void evict_to_capacity_locked() REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  Lru lru_ GUARDED_BY(mutex_);  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::vector<Lru::const_iterator>> buckets_
-      GUARDED_BY(mutex_);
+  WeightedLru<std::string, Cached> lru_ GUARDED_BY(mutex_);
   /// A computation in progress. `key` points at the computing caller's own
   /// key string, which outlives the entry (the caller erases the entry
   /// before moving its key into the LRU), so the table never copies a key.
   struct InFlight {
     const std::string* key = nullptr;
-    std::shared_future<Flight> flight;
+    std::shared_future<Settled> flight;
   };
   using InFlightTable = std::unordered_multimap<std::uint64_t, InFlight>;
 
@@ -217,11 +191,8 @@ class ScheduleCache {
   void erase_in_flight_locked(std::uint64_t hash, const std::string& key) REQUIRES(mutex_);
 
   InFlightTable in_flight_ GUARDED_BY(mutex_);  ///< keyed by key hash
-  std::size_t capacity_ GUARDED_BY(mutex_);
   /// nullopt = never expire.
   std::optional<std::chrono::nanoseconds> ttl_ GUARDED_BY(mutex_);
-  /// Σ entry weight, <= capacity_ outside evict.
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
   Stats stats_ GUARDED_BY(mutex_);
 };
 

@@ -17,14 +17,9 @@ std::shared_ptr<const ScheduleResult> SubgraphCache::find(std::uint64_t hash,
                                                           const std::string& context,
                                                           const std::string& form, bool delta) {
   const MutexLock lock(mutex_);
-  if (const auto bucket = buckets_.find(hash); bucket != buckets_.end()) {
-    for (const auto it : bucket->second) {
-      if (it->context == context && it->form == form) {
-        ++stats_.partition_hits;
-        lru_.splice(lru_.begin(), lru_, it);
-        return it->fragment;
-      }
-    }
+  if (const auto* hit = lru_.find(hash, std::tie(context, form))) {
+    ++stats_.partition_hits;
+    return *hit;
   }
   ++stats_.partition_misses;
   if (delta) ++stats_.delta_invalidated;
@@ -38,29 +33,11 @@ std::shared_ptr<const ScheduleResult> SubgraphCache::insert(std::uint64_t hash,
                                                             std::size_t weight) {
   auto owned = std::make_shared<const ScheduleResult>(std::move(fragment));
   const MutexLock lock(mutex_);
-  auto& bucket = buckets_[hash];
-  for (const auto it : bucket) {
-    if (it->context == context && it->form == form) {
-      return it->fragment;  // lost a benign compute race
-    }
-  }
-  if (weight > capacity_) return owned;  // would evict everything: refuse
-  lru_.push_front(Entry{hash, std::move(context), std::move(form), weight, owned});
-  bucket.push_back(lru_.begin());
-  weight_ += weight;
-  evict_to_capacity_locked();
-  return owned;
-}
-
-void SubgraphCache::evict_to_capacity_locked() {
-  while (weight_ > capacity_ && !lru_.empty()) {
-    const auto victim = std::prev(lru_.end());
-    auto& bucket = buckets_[victim->hash];
-    std::erase_if(bucket, [&victim](const auto it) { return it == victim; });
-    if (bucket.empty()) buckets_.erase(victim->hash);
-    weight_ -= victim->weight;
-    lru_.pop_back();
-  }
+  // A concurrent insert that won the race keeps its entry; a fragment
+  // heavier than the whole cache is refused and returned uncached.
+  const auto inserted =
+      lru_.insert(hash, {std::move(context), std::move(form)}, owned, weight);
+  return inserted.value != nullptr ? *inserted.value : owned;
 }
 
 void SubgraphCache::note_assembled(std::size_t fragment_count) {
@@ -80,7 +57,7 @@ std::size_t SubgraphCache::size() const {
 
 std::size_t SubgraphCache::total_weight() const {
   const MutexLock lock(mutex_);
-  return weight_;
+  return lru_.total_weight();
 }
 
 namespace {

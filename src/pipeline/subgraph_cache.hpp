@@ -1,17 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <tuple>
 
 #include "graph/serialization.hpp"
 #include "support/thread_annotations.hpp"
 #include "graph/task_graph.hpp"
 #include "pipeline/schedule_context.hpp"
 #include "pipeline/scheduler.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -53,7 +52,7 @@ class SubgraphCache {
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit SubgraphCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity), canon_memo_(capacity) {}
+      : capacity_(capacity), canon_memo_(capacity), lru_(capacity) {}
 
   SubgraphCache(const SubgraphCache&) = delete;
   SubgraphCache& operator=(const SubgraphCache&) = delete;
@@ -94,23 +93,12 @@ class SubgraphCache {
   [[nodiscard]] PartitionCanonMemo& canon_memo() noexcept { return canon_memo_; }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::string context;
-    std::string form;
-    std::size_t weight = 0;
-    std::shared_ptr<const ScheduleResult> fragment;
-  };
-
-  void evict_to_capacity_locked() REQUIRES(mutex_);
-
   const std::size_t capacity_;
   PartitionCanonMemo canon_memo_;
   mutable Mutex mutex_;
-  std::list<Entry> lru_ GUARDED_BY(mutex_);  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>> buckets_
+  /// Keyed by (context, form).
+  WeightedLru<std::tuple<std::string, std::string>, std::shared_ptr<const ScheduleResult>> lru_
       GUARDED_BY(mutex_);
-  std::size_t weight_ GUARDED_BY(mutex_) = 0;
   Stats stats_ GUARDED_BY(mutex_);
 };
 

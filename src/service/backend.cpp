@@ -7,56 +7,47 @@
 
 namespace sts {
 
+// Every byte of ServiceStats but shard_max_depth is a listed counter, so a
+// member added to it, or to one of the Stats structs it nests, without a
+// line in for_each_stats_counter fails the build here.
+static_assert(
+    [] {
+      ServiceStats stats;
+      std::size_t listed = 0;
+      for_each_stats_counter([&listed](const char*, std::uint64_t&) { ++listed; }, stats);
+      return listed * sizeof(std::uint64_t);
+    }() == sizeof(ServiceStats) - sizeof(ServiceStats::shard_max_depth),
+    "a ServiceStats counter is missing from for_each_stats_counter");
+
+void append_stats_counters(std::string& json, const ServiceStats& stats) {
+  for_each_stats_counter(
+      [&json](const char* name, std::uint64_t value) {
+        json += ", \"";
+        json += name;
+        json += "\": ";
+        json += std::to_string(value);
+      },
+      stats);
+}
+
 void accumulate_service_stats(ServiceStats& into, const ServiceStats& from) {
-  into.submitted += from.submitted;
-  into.completed += from.completed;
-  into.failed += from.failed;
-  into.rejected += from.rejected;
-  into.simulated += from.simulated;
-  into.fast_path_hits += from.fast_path_hits;
-  into.cache.hits += from.cache.hits;
-  into.cache.misses += from.cache.misses;
-  into.cache.races += from.cache.races;
-  into.cache.evictions += from.cache.evictions;
-  into.cache.evicted_weight += from.cache.evicted_weight;
-  into.cache.expired += from.cache.expired;
-  into.subgraph.partition_hits += from.subgraph.partition_hits;
-  into.subgraph.partition_misses += from.subgraph.partition_misses;
-  into.subgraph.fragments_assembled += from.subgraph.fragments_assembled;
-  into.subgraph.delta_invalidated += from.subgraph.delta_invalidated;
-  into.canon.hits += from.canon.hits;
-  into.canon.misses += from.canon.misses;
+  for_each_stats_counter([](const char*, std::uint64_t& sum, std::uint64_t add) { sum += add; },
+                         into, from);
   into.shard_max_depth.insert(into.shard_max_depth.end(), from.shard_max_depth.begin(),
                               from.shard_max_depth.end());
 }
 
 ServiceStats service_stats_from_json(const JsonValue& json) {
-  const auto counter = [&json](const char* key) -> std::uint64_t {
-    const JsonValue* value = json.find(key);
-    if (value == nullptr) return 0;  // older server: counter not born yet
-    const std::int64_t v = value->as_int();
-    if (v < 0) throw std::invalid_argument(std::string("stats: negative counter ") + key);
-    return static_cast<std::uint64_t>(v);
-  };
   ServiceStats stats;
-  stats.submitted = counter("submitted");
-  stats.completed = counter("completed");
-  stats.failed = counter("failed");
-  stats.rejected = counter("rejected");
-  stats.simulated = counter("simulated");
-  stats.fast_path_hits = counter("fast_path_hits");
-  stats.cache.hits = counter("cache_hits");
-  stats.cache.misses = counter("cache_misses");
-  stats.cache.races = counter("cache_races");
-  stats.cache.evictions = counter("cache_evictions");
-  stats.cache.evicted_weight = counter("cache_evicted_weight");
-  stats.cache.expired = counter("cache_expired");
-  stats.subgraph.partition_hits = counter("partition_hits");
-  stats.subgraph.partition_misses = counter("partition_misses");
-  stats.subgraph.fragments_assembled = counter("fragments_assembled");
-  stats.subgraph.delta_invalidated = counter("delta_invalidated");
-  stats.canon.hits = counter("canon_hits");
-  stats.canon.misses = counter("canon_misses");
+  for_each_stats_counter(
+      [&json](const char* name, std::uint64_t& counter) {
+        const JsonValue* value = json.find(name);
+        if (value == nullptr) return;  // older server: counter not born yet
+        const std::int64_t v = value->as_int();
+        if (v < 0) throw std::invalid_argument(std::string("stats: negative counter ") + name);
+        counter = static_cast<std::uint64_t>(v);
+      },
+      stats);
   if (const JsonValue* depths = json.find("shard_max_depth")) {
     stats.shard_max_depth.reserve(depths->items().size());
     for (const JsonValue& depth : depths->items()) {
@@ -66,19 +57,6 @@ ServiceStats service_stats_from_json(const JsonValue& json) {
     }
   }
   return stats;
-}
-
-std::shared_ptr<const ScheduleResult> ServiceFuture::get() {
-  Settled settled = settled_.get();
-  if (settled.rejected.has_value()) {
-    throw std::runtime_error("schedule request rejected on shard " +
-                             std::to_string(settled.rejected->shard) + " (depth " +
-                             std::to_string(settled.rejected->depth) + "/" +
-                             std::to_string(settled.rejected->limit) + ")");
-  }
-  if (settled.error.empty()) return std::move(settled.result);
-  if (settled.invalid) throw std::invalid_argument(settled.error);
-  throw std::runtime_error(settled.error);
 }
 
 ScheduleResponse ServiceAdmission::wait() {

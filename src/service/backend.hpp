@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "pipeline/schedule_cache.hpp"
+#include "pipeline/settled.hpp"
 #include "pipeline/subgraph_cache.hpp"
 #include "service/request.hpp"
 
@@ -38,6 +39,38 @@ struct ServiceStats {
   PartitionCanonMemo::Stats canon;
 };
 
+/// The one list of ServiceStats counters and their `/stats` wire names, in
+/// document order. Rendering (`append_stats_counters`), parsing
+/// (`service_stats_from_json`) and summing (`accumulate_service_stats`) all
+/// walk it, so a new counter takes one line here plus its row in the README
+/// stats table (tools/lint_sts.py checks the table against this list).
+/// `visit(name, counter...)` receives the same counter of every stats object
+/// passed, so one call can pair up counters across objects.
+template <typename Visit, typename... Stats>
+constexpr void for_each_stats_counter(Visit&& visit, Stats&... stats) {
+  visit("submitted", stats.submitted...);
+  visit("completed", stats.completed...);
+  visit("failed", stats.failed...);
+  visit("rejected", stats.rejected...);
+  visit("simulated", stats.simulated...);
+  visit("fast_path_hits", stats.fast_path_hits...);
+  visit("cache_hits", stats.cache.hits...);
+  visit("cache_misses", stats.cache.misses...);
+  visit("cache_races", stats.cache.races...);
+  visit("cache_evictions", stats.cache.evictions...);
+  visit("cache_evicted_weight", stats.cache.evicted_weight...);
+  visit("cache_expired", stats.cache.expired...);
+  visit("partition_hits", stats.subgraph.partition_hits...);
+  visit("partition_misses", stats.subgraph.partition_misses...);
+  visit("fragments_assembled", stats.subgraph.fragments_assembled...);
+  visit("delta_invalidated", stats.subgraph.delta_invalidated...);
+  visit("canon_hits", stats.canon.hits...);
+  visit("canon_misses", stats.canon.misses...);
+}
+
+/// Appends `, "<name>": <value>` for every listed counter of `stats`.
+void append_stats_counters(std::string& json, const ServiceStats& stats);
+
 /// Sums every counter of `from` into `into`; shard high-water marks are
 /// concatenated (they are per-shard gauges, not additive).
 void accumulate_service_stats(ServiceStats& into, const ServiceStats& from);
@@ -46,22 +79,8 @@ void accumulate_service_stats(ServiceStats& into, const ServiceStats& from);
 /// counters — how a RemoteBackend turns one `/stats` fetch into the same
 /// `ServiceStats` an in-process backend reports. Missing members read as
 /// zero (a newer client must keep aggregating an older server's document);
-/// a member present with the wrong type still throws.
+/// a member present with the wrong type, or a negative counter, throws.
 [[nodiscard]] ServiceStats service_stats_from_json(const JsonValue& json);
-
-/// A settled backend job, transported across threads as a plain value. At
-/// most one of `result` (success), `error` (failure detail), or `rejected`
-/// (typed admission refusal) is populated. Errors cross thread boundaries
-/// as strings rather than stored exceptions for the TSan reason documented
-/// on `ScheduleCache::Flight`; `rejected` is only ever set by backends whose
-/// refusals arrive asynchronously (a remote server's response) — in-process
-/// services refuse synchronously through `ServiceAdmission::rejected`.
-struct Settled {
-  std::shared_ptr<const ScheduleResult> result;
-  std::string error;     ///< non-empty iff the computation failed
-  bool invalid = false;  ///< failure maps to std::invalid_argument
-  std::optional<Rejected> rejected;
-};
 
 /// Future over a `Settled` outcome with the classic throwing contract:
 /// `get()` returns the result or throws `std::invalid_argument` /
@@ -83,7 +102,9 @@ class ServiceFuture {
 
   /// Blocks; returns the result or throws on a failed or rejected job.
   /// Consumes the future; call once.
-  [[nodiscard]] std::shared_ptr<const ScheduleResult> get();
+  [[nodiscard]] std::shared_ptr<const ScheduleResult> get() {
+    return settled_.get().result_or_throw();
+  }
 
   /// Blocks; the raw settled outcome, never throwing. Consumes the future;
   /// call once.

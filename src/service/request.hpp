@@ -11,6 +11,7 @@
 #include "graph/task_graph.hpp"
 #include "pipeline/schedule_context.hpp"
 #include "pipeline/scheduler.hpp"
+#include "pipeline/settled.hpp"
 #include "sim/dataflow_sim.hpp"
 
 namespace sts {
@@ -32,17 +33,6 @@ inline constexpr int kScheduleSchemaVersion = 2;
 enum class AdmissionPolicy : std::uint8_t { kBlock, kReject };
 
 [[nodiscard]] const char* to_string(AdmissionPolicy policy) noexcept;
-
-/// Typed refusal of a request on a full shard.
-struct Rejected {
-  std::size_t shard = 0;  ///< index of the full shard inside its service
-  std::size_t depth = 0;  ///< queue depth observed at rejection
-  std::size_t limit = 0;  ///< the configured per-shard depth limit
-  /// Routing backend index; set only when a ShardRouter forwarded the
-  /// request (absent for a standalone service, so backend 0 and "no router"
-  /// stay distinguishable).
-  std::optional<std::size_t> backend;
-};
 
 /// Reference to a synthetic workload generator instead of an inline graph:
 /// `make_<generator>(param, seed)` from workloads/synthetic.hpp. Keeps sweep

@@ -10,6 +10,7 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_context.hpp"
+#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -18,7 +19,7 @@ ScheduleService::ScheduleService(ServiceConfig config)
     : cache_(config.cache_capacity, config.cache_ttl),
       queue_depth_(config.queue_depth),
       intra_threads_(config.intra_threads),
-      base_registry_capacity_(config.base_registry_capacity) {
+      bases_(config.base_registry_capacity) {
   if (intra_threads_ < 0) {
     throw std::invalid_argument("ScheduleService: intra_threads must be >= 0 (0 = auto)");
   }
@@ -39,17 +40,6 @@ ScheduleService::ScheduleService(ServiceConfig config)
 }
 
 ScheduleService::~ScheduleService() { shutdown(); }
-
-namespace {
-
-/// Converts a cache-layer Flight (result/error/invalid) into the seam's
-/// Settled value; the in-process service never populates `rejected`.
-[[nodiscard]] Settled settled_from_flight(ScheduleCache::Flight flight) {
-  return Settled{std::move(flight.result), std::move(flight.error), flight.invalid,
-                 std::nullopt};
-}
-
-}  // namespace
 
 ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   if (stopping_.load(std::memory_order_acquire)) {
@@ -95,7 +85,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
         ++counters_.submitted;
         if (delta_simulate) ++counters_.simulated;
       }
-      failed.set_value(settled_from_flight(ScheduleCache::settle_current_exception()));
+      failed.set_value(Settled::from_current_exception());
       finish_one(true);
       return admission;
     }
@@ -256,7 +246,7 @@ void ScheduleService::worker_loop(Shard& shard) {
           hash, job.request.release_key(), [this, &job] { return compute_job(job); },
           job.request.graph.node_count());
     } catch (...) {
-      settled = settled_from_flight(ScheduleCache::settle_current_exception());
+      settled = Settled::from_current_exception();
     }
     const bool failed = !settled.error.empty();
     job.promise.set_value(std::move(settled));
@@ -265,27 +255,19 @@ void ScheduleService::worker_loop(Shard& shard) {
 }
 
 void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph) {
-  if (base_registry_capacity_ == 0) return;
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  if (const auto it = bases_.find(digest); it != bases_.end()) {
-    // Known digest: just refresh recency, sparing the graph copy.
-    bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-    return;
-  }
-  bases_lru_.emplace_front(digest, std::make_shared<const TaskGraph>(graph));
-  bases_.emplace(digest, bases_lru_.begin());
-  while (bases_.size() > base_registry_capacity_) {
-    bases_.erase(bases_lru_.back().first);
-    bases_lru_.pop_back();
-  }
+  // A known digest is just refreshed, sparing the graph copy; a zero
+  // capacity would refuse the copy anyway.
+  if (bases_.capacity() == 0 || bases_.find(hash, digest) != nullptr) return;
+  (void)bases_.insert(hash, digest, std::make_shared<const TaskGraph>(graph), 1);
 }
 
 std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& digest) {
+  const std::uint64_t hash = fnv1a64(digest);
   const MutexLock lock(bases_mutex_);
-  const auto it = bases_.find(digest);
-  if (it == bases_.end()) return nullptr;
-  bases_lru_.splice(bases_lru_.begin(), bases_lru_, it->second);
-  return it->second->second;
+  const auto* base = bases_.find(hash, digest);
+  return base != nullptr ? *base : nullptr;
 }
 
 void ScheduleService::finish_one(bool failed) {
@@ -364,20 +346,14 @@ std::string ScheduleService::render_stats_json(const Stats& s, std::size_t worke
                                                std::size_t cache_size, std::size_t cache_weight,
                                                std::size_t cache_capacity, double uptime) {
   const auto field = [](const char* key, std::uint64_t value) {
-    return std::string("\"") + key + "\": " + std::to_string(value);
+    return std::string(", \"") + key + "\": " + std::to_string(value);
   };
-  std::string json = "{";
-  json += field("schema_version", kStatsSchemaVersion);
+  std::string json = "{\"schema_version\": " + std::to_string(kStatsSchemaVersion);
   json += ", \"uptime_seconds\": ";
   append_number(json, uptime < 0 ? 0.0 : uptime);
-  json += ", " + field("submitted", s.submitted);
-  json += ", " + field("completed", s.completed);
-  json += ", " + field("failed", s.failed);
-  json += ", " + field("rejected", s.rejected);
-  json += ", " + field("simulated", s.simulated);
-  json += ", " + field("fast_path_hits", s.fast_path_hits);
-  json += ", " + field("workers", workers);
-  json += ", " + field("queue_depth_limit", queue_depth_limit);
+  append_stats_counters(json, s);
+  json += field("workers", workers);
+  json += field("queue_depth_limit", queue_depth_limit);
   std::size_t peak = 0;
   json += ", \"shard_max_depth\": [";
   for (std::size_t i = 0; i < s.shard_max_depth.size(); ++i) {
@@ -386,22 +362,10 @@ std::string ScheduleService::render_stats_json(const Stats& s, std::size_t worke
     peak = std::max(peak, s.shard_max_depth[i]);
   }
   json += "]";
-  json += ", " + field("max_queue_depth", peak);
-  json += ", " + field("cache_hits", s.cache.hits);
-  json += ", " + field("cache_misses", s.cache.misses);
-  json += ", " + field("cache_races", s.cache.races);
-  json += ", " + field("cache_evictions", s.cache.evictions);
-  json += ", " + field("cache_evicted_weight", s.cache.evicted_weight);
-  json += ", " + field("cache_expired", s.cache.expired);
-  json += ", " + field("cache_size", cache_size);
-  json += ", " + field("cache_weight", cache_weight);
-  json += ", " + field("cache_capacity", cache_capacity);
-  json += ", " + field("partition_hits", s.subgraph.partition_hits);
-  json += ", " + field("partition_misses", s.subgraph.partition_misses);
-  json += ", " + field("fragments_assembled", s.subgraph.fragments_assembled);
-  json += ", " + field("delta_invalidated", s.subgraph.delta_invalidated);
-  json += ", " + field("canon_hits", s.canon.hits);
-  json += ", " + field("canon_misses", s.canon.misses);
+  json += field("max_queue_depth", peak);
+  json += field("cache_size", cache_size);
+  json += field("cache_weight", cache_weight);
+  json += field("cache_capacity", cache_capacity);
   json += "}";
   return json;
 }

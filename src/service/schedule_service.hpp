@@ -5,13 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <list>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "service/request.hpp"
 #include "sim/dataflow_sim.hpp"
 #include "support/thread_annotations.hpp"
+#include "support/weighted_lru.hpp"
 
 namespace sts {
 
@@ -108,13 +107,8 @@ class ScheduleService : public ScheduleBackend {
   using ResultPtr = ScheduleCache::ResultPtr;
   using Rejected = sts::Rejected;
 
-  /// A settled job: at most one of `result` (success) or `error` (failure
-  /// detail) is populated (the in-process service never uses the seam's
-  /// asynchronous `rejected` channel — it refuses synchronously). Workers
-  /// settle failures as plain values — never as a stored exception — for
-  /// the reason documented on `ScheduleCache::Flight`; the original
-  /// exception is reconstructed on the *consuming* thread by
-  /// `Future::get()`.
+  /// A settled job. The in-process service never uses the asynchronous
+  /// `rejected` channel — it refuses synchronously.
   using Settled = sts::Settled;
 
   /// The seam's future/admission types under their historical names.
@@ -216,13 +210,10 @@ class ScheduleService : public ScheduleBackend {
   std::atomic<bool> stopping_{false};
   const std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
 
-  /// Base-request registry for delta resolution: digest -> materialized graph.
+  /// Base-request registry for delta resolution: digest -> materialized
+  /// graph, every graph weighing 1, so the capacity counts entries.
   mutable Mutex bases_mutex_;
-  std::list<std::pair<std::string, std::shared_ptr<const TaskGraph>>> bases_lru_
-      GUARDED_BY(bases_mutex_);
-  std::unordered_map<std::string, decltype(bases_lru_)::iterator> bases_
-      GUARDED_BY(bases_mutex_);
-  std::size_t base_registry_capacity_ = 0;
+  WeightedLru<std::string, std::shared_ptr<const TaskGraph>> bases_ GUARDED_BY(bases_mutex_);
 
   mutable Mutex stats_mutex_;
   CondVar idle_cv_;  ///< signalled on every job completion/rejection

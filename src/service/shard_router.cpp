@@ -228,37 +228,15 @@ std::string ShardRouter::stats_json() const {
     cache_weight += snapshot.cache_weight;
     per_backend.push_back(std::move(snapshot.json));
   }
-  const ServiceStats& s = total;
-  const auto field = [](const char* key, std::uint64_t value) {
-    return std::string("\"") + key + "\": " + std::to_string(value);
-  };
-  std::string json = "{";
-  json += field("schema_version", ScheduleService::kStatsSchemaVersion);
+  std::string json = "{\"schema_version\": " + std::to_string(ScheduleService::kStatsSchemaVersion);
   json += ", \"uptime_seconds\": ";
   append_number(json, uptime_seconds());
-  json += ", " + field("backends", live);
-  json += ", " + field("submitted", s.submitted);
-  json += ", " + field("completed", s.completed);
-  json += ", " + field("failed", s.failed);
-  json += ", " + field("rejected", s.rejected);
-  json += ", " + field("simulated", s.simulated);
-  json += ", " + field("fast_path_hits", s.fast_path_hits);
-  json += ", " + field("cache_hits", s.cache.hits);
-  json += ", " + field("cache_misses", s.cache.misses);
-  json += ", " + field("cache_races", s.cache.races);
-  json += ", " + field("cache_evictions", s.cache.evictions);
-  json += ", " + field("cache_evicted_weight", s.cache.evicted_weight);
-  json += ", " + field("cache_expired", s.cache.expired);
-  json += ", " + field("cache_weight", cache_weight);
-  json += ", " + field("partition_hits", s.subgraph.partition_hits);
-  json += ", " + field("partition_misses", s.subgraph.partition_misses);
-  json += ", " + field("fragments_assembled", s.subgraph.fragments_assembled);
-  json += ", " + field("delta_invalidated", s.subgraph.delta_invalidated);
-  json += ", " + field("canon_hits", s.canon.hits);
-  json += ", " + field("canon_misses", s.canon.misses);
+  json += ", \"backends\": " + std::to_string(live);
+  append_stats_counters(json, total);
+  json += ", \"cache_weight\": " + std::to_string(cache_weight);
   std::size_t peak = 0;
-  for (const std::size_t depth : s.shard_max_depth) peak = std::max(peak, depth);
-  json += ", " + field("max_queue_depth", peak);
+  for (const std::size_t depth : total.shard_max_depth) peak = std::max(peak, depth);
+  json += ", \"max_queue_depth\": " + std::to_string(peak);
   json += ", \"per_backend\": [";
   for (std::size_t i = 0; i < per_backend.size(); ++i) {
     if (i > 0) json += ", ";

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -498,12 +500,22 @@ TEST(SubgraphAssembly, MeshPlacementDegradesToWholeGraphFragment) {
 
 // ------------------------------------------------------------- delta serving
 
-ScheduleRequest base_request() {
+ScheduleRequest base_request(std::uint64_t seed = 67) {
   ScheduleRequest request;
-  request.graph = multi_component_graph(3, 67);
+  request.graph = multi_component_graph(3, seed);
   request.scheduler = "streaming-rlx";
   request.machine.num_pes = 4;
   return request;
+}
+
+/// A valid one-node delta against `base`, named by its digest.
+ScheduleRequest delta_on(const ScheduleRequest& base) {
+  ScheduleRequest delta;
+  delta.base_key = base.key_digest();
+  delta.edits = retune_exit(base.graph, 2);
+  delta.scheduler = base.scheduler;
+  delta.machine = base.machine;
+  return delta;
 }
 
 
@@ -632,6 +644,72 @@ TEST(DeltaRequest, UnknownBaseKeyFailsTheFutureNotTheService) {
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
+}
+
+/// A delta whose base the registry does not hold settles inside submit() as
+/// the typed (std::invalid_argument) unknown-base error, never on a worker.
+void expect_unknown_base(ScheduleService& service, ScheduleRequest delta) {
+  ServiceAdmission admission = service.submit(std::move(delta));
+  ASSERT_TRUE(admission.accepted());
+  ASSERT_EQ(admission.future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  const Settled settled = admission.future.settled();
+  EXPECT_TRUE(settled.invalid);
+  EXPECT_NE(settled.error.find("unknown base_key"), std::string::npos) << settled.error;
+}
+
+void expect_balanced(ScheduleService& service) {
+  service.wait_idle();
+  const ScheduleService::Stats stats = service.stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.rejected);
+}
+
+TEST(DeltaRequest, BaseRegistryAgesOutTheLeastRecentBase) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.base_registry_capacity = 2;
+  ScheduleService service(config);
+  const ScheduleRequest a = base_request(67);
+  const ScheduleRequest b = base_request(68);
+  const ScheduleRequest c = base_request(69);
+  for (const ScheduleRequest* base : {&a, &b, &c}) ASSERT_TRUE(service.schedule(*base).ok());
+
+  expect_unknown_base(service, delta_on(a));
+  const ScheduleResponse on_c = service.schedule(delta_on(c));
+  EXPECT_TRUE(on_c.ok()) << on_c.error;
+  expect_balanced(service);
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
+TEST(DeltaRequest, ResubmittingABaseKeepsItInTheRegistry) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.base_registry_capacity = 2;
+  ScheduleService service(config);
+  const ScheduleRequest a = base_request(67);
+  const ScheduleRequest b = base_request(68);
+  const ScheduleRequest c = base_request(69);
+  // A again before C: C pushes out B, the least recent, instead of A.
+  for (const ScheduleRequest* base : {&a, &b, &a, &c}) {
+    ASSERT_TRUE(service.schedule(*base).ok());
+  }
+
+  expect_unknown_base(service, delta_on(b));
+  const ScheduleResponse on_a = service.schedule(delta_on(a));
+  EXPECT_TRUE(on_a.ok()) << on_a.error;
+  expect_balanced(service);
+}
+
+TEST(DeltaRequest, ZeroBaseRegistryCapacityRefusesEveryDelta) {
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.base_registry_capacity = 0;
+  ScheduleService service(config);
+  const ScheduleRequest a = base_request(67);
+  ASSERT_TRUE(service.schedule(a).ok());
+  expect_unknown_base(service, delta_on(a));
+  expect_unknown_base(service, delta_on(a));
+  expect_balanced(service);
+  EXPECT_EQ(service.stats().failed, 2u);
 }
 
 TEST(DeltaRequest, InvalidCompositionFailsInsteadOfAliasingTheBase) {

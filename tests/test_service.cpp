@@ -4,12 +4,16 @@
 
 #include <chrono>
 #include <future>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "paper_examples.hpp"
 #include "pipeline/registry.hpp"
+#include "service/backend.hpp"
 #include "service/request.hpp"
+#include "support/json.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts {
@@ -238,6 +242,75 @@ TEST(ScheduleService, StatsJsonCarriesCacheWeight) {
 TEST(ScheduleService, DefaultsToHardwareConcurrency) {
   ScheduleService service;
   EXPECT_GE(service.worker_count(), 1u);
+}
+
+// ---------------------------------------------------------- the stats list
+// for_each_stats_counter drives rendering, /stats parsing and the router's
+// sums, so these cases go through the list to reach every counter.
+
+/// Every listed counter set to a distinct value, starting at `first`.
+ServiceStats distinct_stats(std::uint64_t first) {
+  ServiceStats stats;
+  for_each_stats_counter([&first](const char*, std::uint64_t& counter) { counter = first++; },
+                         stats);
+  return stats;
+}
+
+TEST(ServiceStatsWire, EveryCounterRoundTripsThroughTheStatsDocument) {
+  ServiceStats sent = distinct_stats(1);
+  sent.shard_max_depth = {3, 0, 7};
+  const JsonValue document =
+      parse_json(ScheduleService::render_stats_json(sent, 3, 8, 5, 40, 100, 1.5));
+  const ServiceStats received = service_stats_from_json(document);
+
+  std::set<std::string> names;
+  for_each_stats_counter(
+      [&names, &document](const char* name, std::uint64_t want, std::uint64_t got) {
+        EXPECT_TRUE(names.insert(name).second) << "duplicate wire name " << name;
+        EXPECT_NE(document.find(name), nullptr) << name;
+        EXPECT_EQ(got, want) << name;
+      },
+      sent, received);
+  EXPECT_EQ(received.shard_max_depth, sent.shard_max_depth);
+}
+
+TEST(ServiceStatsWire, MissingMembersReadAsZero) {
+  const ServiceStats stats = service_stats_from_json(parse_json("{\"cache_hits\": 4}"));
+  for_each_stats_counter(
+      [](const char* name, std::uint64_t counter) {
+        EXPECT_EQ(counter, std::string(name) == "cache_hits" ? 4u : 0u) << name;
+      },
+      stats);
+  EXPECT_TRUE(stats.shard_max_depth.empty());
+}
+
+TEST(ServiceStatsWire, NegativeCounterThrows) {
+  ServiceStats stats;
+  for_each_stats_counter(
+      [](const char* name, std::uint64_t) {
+        const std::string document = std::string("{\"") + name + "\": -1}";
+        EXPECT_THROW((void)service_stats_from_json(parse_json(document)), std::invalid_argument)
+            << name;
+      },
+      stats);
+  EXPECT_THROW((void)service_stats_from_json(parse_json("{\"shard_max_depth\": [1, -1]}")),
+               std::invalid_argument);
+}
+
+TEST(ServiceStatsWire, AccumulateSumsEveryCounterAndConcatenatesDepths) {
+  ServiceStats total = distinct_stats(1);
+  total.shard_max_depth = {2};
+  ServiceStats more = distinct_stats(100);
+  more.shard_max_depth = {5, 1};
+  accumulate_service_stats(total, more);
+
+  const ServiceStats first = distinct_stats(1);
+  for_each_stats_counter(
+      [](const char* name, std::uint64_t sum, std::uint64_t a, std::uint64_t b) {
+        EXPECT_EQ(sum, a + b) << name;
+      },
+      total, first, more);
+  EXPECT_EQ(total.shard_max_depth, (std::vector<std::size_t>{2, 5, 1}));
 }
 
 }  // namespace

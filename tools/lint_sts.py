@@ -10,10 +10,11 @@ violation. Enforced rules:
     digest) — results are bit-identical at every lane count, so letting it
     into a key would silently split the cache.
 
- 2. Every counter declared in a `struct Stats` must be rendered by a
-    stats_json() implementation AND documented in the README stats table:
-    a counter that is maintained but never surfaced is dead weight, and one
-    missing from the README is invisible to operators.
+ 2. Every counter in the stats list (`for_each_stats_counter` in
+    src/service/backend.hpp, which drives rendering, parsing and summing of
+    the /stats document) has a row in the README stats table: a counter
+    missing from the README is invisible to operators. (The build checks
+    the list itself against the Stats structs.)
 
  3. `sim/sim_internal.hpp` is private to src/sim/ — the simulator's internal
     event structures are not a public seam.
@@ -22,15 +23,7 @@ violation. Enforced rules:
     these; perf gates read them), via BenchReport("<name>") or a literal
     "BENCH_<name>.json" write.
 
- 5. The stats wire format round-trips: every cumulative counter key that
-    ScheduleService::render_stats_json() emits must be parsed back by
-    service_stats_from_json() (RemoteBackend scrapes /stats through it, and a
-    key the parser ignores silently zeroes that counter in every router
-    aggregate), and the parser must not read keys the renderer never writes.
-    Gauges (workers, cache_weight, ...) are point-in-time values read through
-    other paths and are allowlisted.
-
- 6. A request key is hashed once, where ScheduleRequest memoizes it: no code
+ 5. A request key is hashed once, where ScheduleRequest memoizes it: no code
     in src/service/ or src/net/ passes a request key (`key`, `key_`,
     `release_key`, ...) to fnv1a64 — routing, shard picks, and cache probes
     reuse `key_hash()`, since one pass over a 10^5-node request's key costs
@@ -127,47 +120,24 @@ def check_intra_threads_out_of_keys(errors: list[str]) -> None:
                 )
 
 
-def stats_counters() -> list[tuple[Path, str]]:
-    counters = []
-    for path in sorted(SRC.rglob("*.hpp")):
-        text = strip_comments(path.read_text())
-        for match in re.finditer(r"struct\s+Stats\s*\{", text):
-            start = match.end() - 1
-            depth = 0
-            for i in range(start, len(text)):
-                if text[i] == "{":
-                    depth += 1
-                elif text[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        body = text[start : i + 1]
-                        for field in re.finditer(r"std::uint64_t\s+(\w+)\s*=", body):
-                            counters.append((path, field.group(1)))
-                        break
-    return counters
-
-
-def check_stats_surfaced(errors: list[str]) -> None:
-    renderers = ""
-    for path in sorted(SRC.rglob("*.cpp")):
-        text = path.read_text()
-        if "stats_json" in text:
-            renderers += text
-    rendered_keys = set(re.findall(r'"([\w]+)"', renderers))
-    readme_table_rows = [
-        line for line in README.read_text().splitlines() if line.lstrip().startswith("|")
-    ]
-    for path, counter in stats_counters():
-        if not any(counter in key for key in rendered_keys):
+def check_stats_documented(errors: list[str]) -> None:
+    list_path = SRC / "service" / "backend.hpp"
+    counters: list[str] = []
+    for _, body in function_bodies(list_path.read_text(), ("for_each_stats_counter",)):
+        counters += re.findall(r'visit\("(\w+)"', body)
+    if not counters:
+        fail(errors, f"{list_path.relative_to(REPO)}: for_each_stats_counter() not found")
+        return
+    documented = {
+        match.group(1)
+        for line in README.read_text().splitlines()
+        if (match := re.match(r"\s*\|\s*`(\w+)`\s*\|", line))
+    }
+    for counter in counters:
+        if counter not in documented:
             fail(
                 errors,
-                f"{path.relative_to(REPO)}: Stats counter `{counter}` is never "
-                "rendered by any stats_json()",
-            )
-        if not any(counter in row for row in readme_table_rows):
-            fail(
-                errors,
-                f"{path.relative_to(REPO)}: Stats counter `{counter}` is missing "
+                f"{list_path.relative_to(REPO)}: stats counter `{counter}` is missing "
                 "from the README stats table",
             )
 
@@ -210,53 +180,6 @@ def check_bench_reports(errors: list[str]) -> None:
             )
 
 
-# Point-in-time gauges in the /stats document: not cumulative ServiceStats
-# counters, so service_stats_from_json() intentionally skips them (workers and
-# cache_weight are read through dedicated paths by RemoteBackend).
-STATS_GAUGE_KEYS = {
-    "schema_version",
-    "uptime_seconds",
-    "workers",
-    "queue_depth_limit",
-    "max_queue_depth",
-    "cache_size",
-    "cache_weight",
-    "cache_capacity",
-}
-
-
-def check_stats_wire_round_trip(errors: list[str]) -> None:
-    renderer_path = SRC / "service" / "schedule_service.cpp"
-    parser_path = SRC / "service" / "backend.cpp"
-    rendered: set[str] = set()
-    for name, body in function_bodies(renderer_path.read_text(), ("render_stats_json",)):
-        rendered.update(re.findall(r'field\("(\w+)"', body))
-        rendered.update(re.findall(r'\\"(\w+)\\"', body))
-    parsed: set[str] = set()
-    for name, body in function_bodies(parser_path.read_text(), ("service_stats_from_json",)):
-        parsed.update(re.findall(r'counter\("(\w+)"\)', body))
-        parsed.update(re.findall(r'find\("(\w+)"\)', body))
-    if not rendered:
-        fail(errors, f"{renderer_path.relative_to(REPO)}: render_stats_json() not found")
-        return
-    if not parsed:
-        fail(errors, f"{parser_path.relative_to(REPO)}: service_stats_from_json() not found")
-        return
-    for key in sorted(rendered - parsed - STATS_GAUGE_KEYS):
-        fail(
-            errors,
-            f"{renderer_path.relative_to(REPO)}: stats key `{key}` is rendered but "
-            "never parsed by service_stats_from_json() — remote scrapes drop it "
-            "(parse it, or allowlist it in STATS_GAUGE_KEYS if it is a gauge)",
-        )
-    for key in sorted(parsed - rendered):
-        fail(
-            errors,
-            f"{parser_path.relative_to(REPO)}: service_stats_from_json() reads "
-            f"`{key}`, which render_stats_json() never writes",
-        )
-
-
 # (file, function) pairs allowed to hash a request key: the memo in
 # ScheduleRequest::key(), and the router's lookup of a caller-supplied raw key.
 KEY_HASH_SITES = {
@@ -293,10 +216,9 @@ def check_request_key_hashed_once(errors: list[str]) -> None:
 def main() -> int:
     errors: list[str] = []
     check_intra_threads_out_of_keys(errors)
-    check_stats_surfaced(errors)
+    check_stats_documented(errors)
     check_sim_internal_private(errors)
     check_bench_reports(errors)
-    check_stats_wire_round_trip(errors)
     check_request_key_hashed_once(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
