@@ -37,12 +37,12 @@ std::string_view kind_name(NodeKind kind) {
   fail("unknown node kind enum");
 }
 
-NodeKind kind_from(const std::string& token) {
+NodeKind kind_from(std::string_view token) {
   if (token == "source") return NodeKind::kSource;
   if (token == "sink") return NodeKind::kSink;
   if (token == "compute") return NodeKind::kCompute;
   if (token == "buffer") return NodeKind::kBuffer;
-  fail("unknown node kind '" + token + "'");
+  fail("unknown node kind '" + std::string(token) + "'");
 }
 
 NodeId node_from(const JsonValue& json, std::string_view key) {
@@ -104,7 +104,7 @@ void append_graph_edit_json(std::string& out, const GraphEdit& edit) {
 
 GraphEdit graph_edit_from_json(const JsonValue& json) {
   GraphEdit edit;
-  const std::string& op = json.at("op").as_string();
+  const std::string_view op = json.at("op").as_string();
   if (op == "add_node") {
     reject_unknown_members(json, {"op", "kind", "output", "name"}, "graph edit", "add_node");
     edit.op = GraphEdit::Op::kAddNode;
@@ -145,7 +145,7 @@ GraphEdit graph_edit_from_json(const JsonValue& json) {
     edit.volume = json.at("volume").as_int();
     if (edit.volume <= 0) fail("set_edge_volume volume must be positive");
   } else {
-    fail("unknown op '" + op + "'");
+    fail("unknown op '" + std::string(op) + "'");
   }
   return edit;
 }

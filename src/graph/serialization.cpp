@@ -43,6 +43,22 @@ std::int64_t recorded_output(const TaskGraph& graph, NodeId v) {
   return recorded_output(graph, v, graph.output_volume(v));
 }
 
+// The volume of v's `output` record in the text and JSON forms, given its
+// derived volume O(v), or 0 for none. Sources, exits and buffers carry one, since a reader cannot derive
+// their volume; so does any other non-sink whose declaration contradicts its
+// derived volume, so an invalid graph reaches a reader as itself and not as
+// its valid twin. The declarations of a valid graph's other nodes equal
+// their derived volumes and are left out.
+std::int64_t written_output(const TaskGraph& graph, NodeId v, std::int64_t derived) {
+  const NodeKind kind = graph.kind(v);
+  if (kind == NodeKind::kSink) return 0;
+  const std::int64_t declared = graph.declared_output(v);
+  const bool underivable =
+      kind == NodeKind::kSource || kind == NodeKind::kBuffer || graph.out_degree(v) == 0;
+  if (!underivable && (declared <= 0 || declared == derived)) return 0;
+  return recorded_output(graph, v, derived);
+}
+
 }  // namespace
 
 TaskGraph load_task_graph(std::istream& input) {
@@ -151,6 +167,7 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
   // cache-hit path and must stay much cheaper than scheduling itself.
   std::string out;
   out.reserve(64 + 28 * graph.node_count() + 32 * graph.edge_count());
+  const std::span<const NodeProfile> profiles = graph.profiles();
   out += "# canonical task graph: ";
   append_number(out, static_cast<std::int64_t>(graph.node_count()));
   out += " nodes, ";
@@ -166,16 +183,13 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
       out += graph.name(v);
     }
     out += '\n';
-    const bool is_exit = graph.out_degree(v) == 0 && graph.kind(v) != NodeKind::kSink;
-    if (graph.kind(v) == NodeKind::kSource || is_exit ||
-        (graph.kind(v) == NodeKind::kBuffer && graph.output_volume(v) > 0)) {
-      if (graph.output_volume(v) > 0) {
-        out += "output ";
-        append_number(out, v);
-        out += ' ';
-        append_number(out, graph.output_volume(v));
-        out += '\n';
-      }
+    const std::int64_t derived = profiles[static_cast<std::size_t>(v)].out_volume;
+    if (const std::int64_t output = written_output(graph, v, derived); output > 0) {
+      out += "output ";
+      append_number(out, v);
+      out += ' ';
+      append_number(out, output);
+      out += '\n';
     }
   }
   for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
@@ -192,21 +206,19 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
 }
 
 void append_task_graph_json(std::string& out, const TaskGraph& graph) {
+  const std::span<const NodeProfile> profiles = graph.profiles();
   out += "{\"nodes\": [";
   for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
     if (v > 0) out += ", ";
     out += "{\"kind\": \"";
     out += to_string(graph.kind(v));
     out += '"';
-    // Output records mirror the text serializer exactly: sources, exit
-    // computes, and buffers with a declared volume. Derived volumes are not
-    // written, so parse(append(g)) fingerprints identically to g.
-    const bool is_exit = graph.out_degree(v) == 0 && graph.kind(v) != NodeKind::kSink;
-    if ((graph.kind(v) == NodeKind::kSource || is_exit ||
-         graph.kind(v) == NodeKind::kBuffer) &&
-        graph.output_volume(v) > 0) {
+    // Output records mirror the text serializer exactly, so
+    // parse(append(g)) fingerprints identically to g.
+    const std::int64_t derived = profiles[static_cast<std::size_t>(v)].out_volume;
+    if (const std::int64_t output = written_output(graph, v, derived); output > 0) {
       out += ", \"output\": ";
-      append_number(out, graph.output_volume(v));
+      append_number(out, output);
     }
     if (!graph.name(v).empty()) {
       out += ", \"name\": ";
@@ -230,21 +242,31 @@ void append_task_graph_json(std::string& out, const TaskGraph& graph) {
 }
 
 TaskGraph task_graph_from_json(const JsonValue& json) {
-  const auto reject_unknown = [](const JsonValue& object,
-                                 std::initializer_list<std::string_view> allowed,
-                                 const char* what) {
-    reject_unknown_members(object, allowed, "task_graph_from_json", what);
-  };
-  reject_unknown(json, {"nodes", "edges"}, "graph");
+  reject_unknown_members(json, {"nodes", "edges"}, "task_graph_from_json", "graph");
+  const JsonValue::Items nodes = json.at("nodes").items();
+  const JsonValue::Items edges = json.at("edges").items();
 
   TaskGraph graph;
-  for (const JsonValue& node : json.at("nodes").items()) {
-    reject_unknown(node, {"kind", "output", "name"}, "node");
-    const std::string& kind = node.at("kind").as_string();
+  graph.reserve(nodes.size(), edges.size());
+  for (const JsonValue& node : nodes) {
+    // One pass over the members rather than one lookup per member name.
+    const JsonValue* kind_member = nullptr;
     std::string name;
-    if (const JsonValue* n = node.find("name")) name = n->as_string();
     std::int64_t output = 0;
-    if (const JsonValue* o = node.find("output")) output = o->as_int();
+    for (const JsonValue::Member m : node.members()) {
+      if (m.key == "kind") {
+        kind_member = &m.value;
+      } else if (m.key == "output") {
+        output = m.value.as_int();
+      } else if (m.key == "name") {
+        name = m.value.as_string();
+      } else {
+        throw std::invalid_argument("task_graph_from_json: unknown node member '" +
+                                    std::string(m.key) + "'");
+      }
+    }
+    const std::string_view kind =
+        (kind_member != nullptr ? *kind_member : node.at("kind")).as_string();
     if (kind == "source") {
       if (output <= 0) {
         throw std::invalid_argument("task_graph_from_json: source node " +
@@ -264,11 +286,12 @@ TaskGraph task_graph_from_json(const JsonValue& json) {
       const NodeId v = graph.add_buffer(std::move(name));
       if (output > 0) graph.declare_output(v, output);
     } else {
-      throw std::invalid_argument("task_graph_from_json: unknown node kind '" + kind + "'");
+      throw std::invalid_argument("task_graph_from_json: unknown node kind '" +
+                                  std::string(kind) + "'");
     }
   }
-  for (const JsonValue& edge : json.at("edges").items()) {
-    const std::vector<JsonValue>& fields = edge.items();
+  for (const JsonValue& edge : edges) {
+    const JsonValue::Items fields = edge.items();
     if (fields.size() != 3) {
       throw std::invalid_argument("task_graph_from_json: edge must be [src, dst, volume]");
     }

@@ -20,7 +20,8 @@ namespace sts {
 ///
 ///     node <id> <kind> [name]        kind in {source, sink, compute, buffer}
 ///     output <id> <volume>           declared output volume (sources, exits,
-///                                    buffers)
+///                                    buffers, and any node whose declaration
+///                                    contradicts its out-edge volume)
 ///     edge <src> <dst> <volume>
 ///
 /// Node ids must be dense and ascending starting at 0 (they map directly to

@@ -110,6 +110,13 @@ class TaskGraph {
     return *this;
   }
 
+  /// Reserves room for `nodes` nodes and `edges` edges, so a reader that
+  /// knows the counts up front builds the graph without regrowing it.
+  void reserve(std::size_t nodes, std::size_t edges) {
+    nodes_.reserve(nodes);
+    edges_.reserve(edges);
+  }
+
   /// Creates a source streaming `output_volume` elements out of global memory.
   NodeId add_source(std::int64_t output_volume, std::string name = {});
 

@@ -45,7 +45,7 @@ RemoteBackend::RemoteBackend(RemoteConfig config) : config_(std::move(config)) {
   for (int attempt = 0;; ++attempt) {
     try {
       const std::string body = fetch("/stats");
-      const JsonValue stats = parse_json(body);
+      const JsonDocument stats = parse_json(body);
       const JsonValue* workers = stats.find("workers");
       const std::int64_t count = workers == nullptr ? 0 : workers->as_int();
       worker_count_ = count > 0 ? static_cast<std::size_t>(count) : 1;
@@ -207,7 +207,7 @@ std::string RemoteBackend::fetch(const char* target) const {
 ScheduleBackend::Snapshot RemoteBackend::stats_snapshot() const {
   Snapshot snapshot;
   snapshot.json = fetch("/stats");
-  const JsonValue stats = parse_json(snapshot.json);
+  const JsonDocument stats = parse_json(snapshot.json);
   snapshot.stats = service_stats_from_json(stats);
   if (const JsonValue* weight = stats.find("cache_weight")) {
     const std::int64_t w = weight->as_int();

@@ -23,11 +23,11 @@ void reject_unknown(const JsonValue& object, std::initializer_list<std::string_v
   reject_unknown_members(object, allowed, "ScheduleRequest", what);
 }
 
-SimEngine sim_engine_from(const std::string& name) {
+SimEngine sim_engine_from(std::string_view name) {
   if (name == "auto") return SimEngine::kAuto;
   if (name == "bulk" || name == "bulk-advance") return SimEngine::kBulkAdvance;
   if (name == "tick" || name == "tick-accurate") return SimEngine::kTickAccurate;
-  fail("unknown sim engine '" + name + "'");
+  fail("unknown sim engine '" + std::string(name) + "'");
 }
 
 MachineConfig machine_from_json(const JsonValue& json) {
@@ -210,7 +210,7 @@ std::string ScheduleRequest::to_json() const {
 }
 
 ScheduleRequest ScheduleRequest::from_json(std::string_view text) {
-  const JsonValue json = parse_json(text);
+  const JsonDocument json = parse_json(text);
   reject_unknown(json,
                  {"schema_version", "scheduler", "machine", "graph", "base_key", "edits",
                   "sim", "admission", "intra_threads", "priority", "label"},
@@ -256,13 +256,13 @@ ScheduleRequest ScheduleRequest::from_json(std::string_view text) {
   if (const JsonValue* sim = json.find("sim")) request.sim = sim_from_json(*sim);
 
   if (const JsonValue* admission = json.find("admission")) {
-    const std::string& name = admission->as_string();
+    const std::string_view name = admission->as_string();
     if (name == "block") {
       request.admission = AdmissionPolicy::kBlock;
     } else if (name == "reject") {
       request.admission = AdmissionPolicy::kReject;
     } else {
-      fail("unknown admission policy '" + name + "'");
+      fail("unknown admission policy '" + std::string(name) + "'");
     }
   }
 
@@ -340,9 +340,9 @@ std::string ScheduleResponse::to_json() const {
 ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
   // Response bodies are tiny (one flat object), so a tight depth bound is
   // free hardening against a malicious or confused server.
-  const JsonValue json = parse_json(text, JsonLimits{8, 1u << 20});
+  const JsonDocument json = parse_json(text, JsonLimits{8, 1u << 20});
   ScheduleResponse response;
-  const std::string& status = json.at("status").as_string();
+  const std::string_view status = json.at("status").as_string();
   if (status == "ok") {
     reject_unknown_members(json,
                            {"status", "scheduler", "makespan", "speedup", "fifo_capacity",
@@ -356,13 +356,14 @@ ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
     if (const JsonValue* sim_makespan = json.find("sim_makespan")) {
       SimResult sim;
       sim.makespan = sim_makespan->as_int();
-      const std::string& engine = json.at("sim_engine").as_string();
+      const std::string_view engine = json.at("sim_engine").as_string();
       if (engine == "bulk-advance") {
         sim.engine_used = SimEngine::kBulkAdvance;
       } else if (engine == "tick-accurate") {
         sim.engine_used = SimEngine::kTickAccurate;
       } else {
-        throw std::invalid_argument("ScheduleResponse: unknown sim_engine '" + engine + "'");
+        throw std::invalid_argument("ScheduleResponse: unknown sim_engine '" +
+                                    std::string(engine) + "'");
       }
       if (const JsonValue* deadlocked = json.find("deadlocked")) {
         sim.deadlocked = deadlocked->as_bool();
@@ -393,7 +394,8 @@ ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
     response.status = Status::kError;
     response.error = json.at("error").as_string();
   } else {
-    throw std::invalid_argument("ScheduleResponse: unknown status '" + status + "'");
+    throw std::invalid_argument("ScheduleResponse: unknown status '" + std::string(status) +
+                                "'");
   }
   return response;
 }

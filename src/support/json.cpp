@@ -2,7 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace sts {
 
@@ -21,158 +24,219 @@ namespace {
   throw std::invalid_argument(std::string("json: expected ") + expected + ", got " + name);
 }
 
-/// Recursive-descent parser over a string_view with offset-annotated errors.
-class Parser {
- public:
-  Parser(std::string_view text, const JsonLimits& limits) : text_(text), limits_(limits) {}
+}  // namespace
 
-  JsonValue parse_document() {
-    if (limits_.max_bytes > 0 && text_.size() > limits_.max_bytes) {
+namespace detail {
+
+/// Recursive-descent parser over a string_view with offset-annotated errors.
+/// Appends each value to the document's node array in document order and
+/// decodes each string literal into the document's byte buffer.
+class JsonParser {
+ public:
+  JsonParser(std::string_view text, const JsonLimits& limits)
+      : text_(text), limits_(limits), p_(text.data()), end_(text.data() + text.size()) {}
+
+  JsonDocument parse_document() {
+    // Node sizes and string lengths are 32-bit, so no input may reach 4 GiB.
+    const std::size_t max_bytes =
+        limits_.max_bytes > 0 ? limits_.max_bytes : std::numeric_limits<std::uint32_t>::max();
+    if (text_.size() > max_bytes) {
       throw std::invalid_argument("json: input of " + std::to_string(text_.size()) +
-                                  " bytes exceeds the " + std::to_string(limits_.max_bytes) +
+                                  " bytes exceeds the " + std::to_string(max_bytes) +
                                   "-byte limit");
     }
-    JsonValue value = parse_value(0);
+    // Both buffers are sized once, up front, so no node or string moves. A
+    // decoded string is never longer than its literal. Every value but the
+    // root, and every key, follows one of '[', '{', ',' or ':', so counting
+    // those bytes bounds the node count.
+    doc_.bytes_.reset(new char[text_.size()]);
+    std::size_t nodes = 1;
+    for (const char c : text_) nodes += c == ',' || c == ':' || c == '[' || c == '{';
+    doc_.nodes_.reset(new JsonValue[nodes]);
+    capacity_ = nodes;
+    parse_value(0);
     skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after document");
-    return value;
+    if (p_ != end_) fail("trailing garbage after document");
+    return std::move(doc_);
   }
 
  private:
-
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("json: " + what + " at offset " + std::to_string(pos_));
+    throw std::invalid_argument("json: " + what + " at offset " +
+                                std::to_string(p_ - text_.data()));
   }
 
+  /// Appends a node and returns its index.
+  std::size_t push(JsonValue::Kind kind) {
+    // Unreachable: each node but the root consumes one counted separator.
+    if (used_ == capacity_) throw std::logic_error("json: node bound exceeded");
+    JsonValue& node = doc_.nodes_[used_];
+    node.kind_ = kind;
+    node.integral_ = false;
+    node.size_ = 0;
+    node.int_ = 0;
+    return used_++;
+  }
+
+  JsonValue& node(std::size_t index) { return doc_.nodes_[index]; }
+
   void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) ++p_;
   }
 
   char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
+    if (p_ == end_) fail("unexpected end of input");
+    return *p_;
   }
 
   void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
+    if (p_ == end_ || *p_ != c) fail(std::string("expected '") + c + "'");
+    ++p_;
   }
 
   bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
+    if (!std::string_view(p_, static_cast<std::size_t>(end_ - p_)).starts_with(literal)) {
+      return false;
+    }
+    p_ += literal.size();
     return true;
   }
 
-  JsonValue parse_value(int depth) {
+  void parse_value(int depth) {
     if (depth > limits_.max_depth) fail("nesting too deep");
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return JsonValue::make_string(parse_string());
+      case '{': parse_object(depth); return;
+      case '[': parse_array(depth); return;
+      case '"': parse_string(); return;
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
-        return JsonValue::make_bool(true);
+        node(push(JsonValue::Kind::kBool)).bool_ = true;
+        return;
       case 'f':
         if (!consume_literal("false")) fail("invalid literal");
-        return JsonValue::make_bool(false);
+        node(push(JsonValue::Kind::kBool)).bool_ = false;
+        return;
       case 'n':
         if (!consume_literal("null")) fail("invalid literal");
-        return JsonValue::make_null();
-      default: return parse_number();
+        (void)push(JsonValue::Kind::kNull);
+        return;
+      default: parse_number(); return;
     }
   }
 
-  JsonValue parse_object(int depth) {
+  /// Records a finished container's element count and subtree size.
+  void close(std::size_t self, std::uint32_t count) {
+    JsonValue& container = node(self);
+    container.size_ = count;
+    container.span_ = used_ - self - 1;
+  }
+
+  void parse_object(int depth) {
     expect('{');
-    std::vector<JsonValue::Member> members;
+    const std::size_t self = push(JsonValue::Kind::kObject);
+    std::uint32_t count = 0;
     skip_ws();
     if (peek() == '}') {
-      ++pos_;
-      return JsonValue::make_object(std::move(members));
+      ++p_;
+      close(self, count);
+      return;
     }
     for (;;) {
       skip_ws();
-      std::string key = parse_string();
-      for (const JsonValue::Member& m : members) {
-        if (m.first == key) fail("duplicate object key '" + key + "'");
+      const std::size_t key = parse_string();
+      const std::string_view name = node(key).as_string();
+      for (std::size_t k = self + 1; k < key;
+           k = static_cast<std::size_t>(node(k + 1).next() - doc_.nodes_.get())) {
+        if (node(k).as_string() == name) fail("duplicate object key '" + std::string(name) + "'");
       }
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value(depth + 1));
+      parse_value(depth + 1);
+      ++count;
       skip_ws();
       const char c = peek();
-      ++pos_;
+      ++p_;
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}'");
     }
-    return JsonValue::make_object(std::move(members));
+    close(self, count);
   }
 
-  JsonValue parse_array(int depth) {
+  void parse_array(int depth) {
     expect('[');
-    std::vector<JsonValue> items;
+    const std::size_t self = push(JsonValue::Kind::kArray);
+    std::uint32_t count = 0;
     skip_ws();
     if (peek() == ']') {
-      ++pos_;
-      return JsonValue::make_array(std::move(items));
+      ++p_;
+      close(self, count);
+      return;
     }
     for (;;) {
-      items.push_back(parse_value(depth + 1));
+      parse_value(depth + 1);
+      ++count;
       skip_ws();
       const char c = peek();
-      ++pos_;
+      ++p_;
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']'");
     }
-    return JsonValue::make_array(std::move(items));
+    close(self, count);
   }
 
-  std::string parse_string() {
+  /// Decodes one string literal into the document's bytes as a string node;
+  /// returns the node's index.
+  std::size_t parse_string() {
     expect('"');
-    std::string out;
+    char* const start = doc_.bytes_.get() + bytes_used_;
+    char* out = start;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("unescaped control character");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char esc = text_[pos_++];
+      // Copy the run up to the next quote, backslash or control byte at once.
+      const char* const run = p_;
+      const char* p = run;
+      while (p != end_ && *p != '"' && *p != '\\' && static_cast<unsigned char>(*p) >= 0x20) ++p;
+      const auto length = static_cast<std::size_t>(p - run);
+      std::memcpy(out, run, length);
+      out += length;
+      p_ = p;
+      if (p_ == end_) fail("unterminated string");
+      const char c = *p_++;
+      if (c == '"') break;
+      if (c != '\\') fail("unescaped control character");
+      if (p_ == end_) fail("unterminated escape");
+      const char esc = *p_++;
       switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': out += parse_unicode_escape(); break;
+        case '"': *out++ = '"'; break;
+        case '\\': *out++ = '\\'; break;
+        case '/': *out++ = '/'; break;
+        case 'b': *out++ = '\b'; break;
+        case 'f': *out++ = '\f'; break;
+        case 'n': *out++ = '\n'; break;
+        case 'r': *out++ = '\r'; break;
+        case 't': *out++ = '\t'; break;
+        case 'u': out = parse_unicode_escape(out); break;
         default: fail("invalid escape");
       }
     }
+    const auto length = static_cast<std::size_t>(out - start);
+    bytes_used_ += length;
+    const std::size_t self = push(JsonValue::Kind::kString);
+    node(self).size_ = static_cast<std::uint32_t>(length);
+    node(self).chars_ = start;
+    return self;
   }
 
-  /// \uXXXX escapes, UTF-8 encoded. Surrogate pairs are handled; a lone
-  /// surrogate is rejected (the envelope never needs one).
-  std::string parse_unicode_escape() {
+  /// \uXXXX escapes, UTF-8 encoded at `out`; returns the end of what was
+  /// written. Surrogate pairs are handled; a lone surrogate is rejected (the
+  /// envelope never needs one).
+  char* parse_unicode_escape(char* out) {
     const auto hex4 = [this]() -> std::uint32_t {
-      if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+      if (end_ - p_ < 4) fail("truncated \\u escape");
       std::uint32_t value = 0;
       for (int i = 0; i < 4; ++i) {
-        const char c = text_[pos_++];
+        const char c = *p_++;
         value <<= 4;
         if (c >= '0' && c <= '9') {
           value |= static_cast<std::uint32_t>(c - '0');
@@ -195,64 +259,76 @@ class Parser {
     } else if (code >= 0xDC00 && code <= 0xDFFF) {
       fail("unpaired surrogate");
     }
-    std::string out;
     if (code < 0x80) {
-      out += static_cast<char>(code);
+      *out++ = static_cast<char>(code);
     } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
+      *out++ = static_cast<char>(0xC0 | (code >> 6));
+      *out++ = static_cast<char>(0x80 | (code & 0x3F));
     } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
+      *out++ = static_cast<char>(0xE0 | (code >> 12));
+      *out++ = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out++ = static_cast<char>(0x80 | (code & 0x3F));
     } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
+      *out++ = static_cast<char>(0xF0 | (code >> 18));
+      *out++ = static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      *out++ = static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      *out++ = static_cast<char>(0x80 | (code & 0x3F));
     }
     return out;
   }
 
-  JsonValue parse_number() {
+  void parse_number() {
     // Strict RFC 8259 grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
     // — no leading zeros, no bare '.5' / trailing '1.', nothing from_chars
     // would otherwise tolerate. The envelope promises that malformed input
     // never silently parses as a different scenario.
-    const std::size_t start = pos_;
-    const auto digit = [this] {
-      return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
-    };
+    const char* const start = p_;
+    const auto digit = [this] { return p_ != end_ && *p_ >= '0' && *p_ <= '9'; };
     const auto digits1 = [&] {  // one-or-more digits
       if (!digit()) fail("invalid number");
-      while (digit()) ++pos_;
+      while (digit()) ++p_;
     };
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    const bool negative = p_ != end_ && *p_ == '-';
+    if (negative) ++p_;
     if (!digit()) fail("invalid number");
-    if (text_[pos_] == '0') {
-      ++pos_;
+    // The integer part's value, exact while it has at most 18 digits.
+    std::uint64_t magnitude = 0;
+    const char* const first_digit = p_;
+    if (*p_ == '0') {
+      ++p_;
       if (digit()) fail("leading zero in number");
     } else {
-      while (digit()) ++pos_;
+      while (digit()) magnitude = 10 * magnitude + static_cast<unsigned char>(*p_++ - '0');
     }
+    const bool exact = p_ - first_digit <= 18;
     bool integral = true;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
+    if (p_ != end_ && *p_ == '.') {
       integral = false;
-      ++pos_;
+      ++p_;
       digits1();
     }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
       integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
       digits1();
     }
-    const std::string_view token = text_.substr(start, pos_ - start);
+    if (integral && exact) {
+      JsonValue& number = node(push(JsonValue::Kind::kNumber));
+      number.integral_ = true;
+      number.int_ = negative ? -static_cast<std::int64_t>(magnitude)
+                             : static_cast<std::int64_t>(magnitude);
+      return;
+    }
+    const std::string_view token(start, static_cast<std::size_t>(p_ - start));
     if (integral) {
       std::int64_t value = 0;
       const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
       if (ec == std::errc() && end == token.data() + token.size()) {
-        return JsonValue::make_int(value);
+        JsonValue& number = node(push(JsonValue::Kind::kNumber));
+        number.integral_ = true;
+        number.int_ = value;
+        return;
       }
       // Integer literal out of int64 range: fall through to double.
     }
@@ -261,60 +337,20 @@ class Parser {
     if (ec != std::errc() || end != token.data() + token.size() || !std::isfinite(value)) {
       fail("invalid number");
     }
-    return JsonValue::make_double(value);
+    node(push(JsonValue::Kind::kNumber)).double_ = value;
   }
 
   std::string_view text_;
   JsonLimits limits_;
-  std::size_t pos_ = 0;
+  const char* p_;           // the next byte to read
+  const char* const end_;
+  JsonDocument doc_;
+  std::size_t used_ = 0;      // nodes written
+  std::size_t capacity_ = 0;  // nodes allocated
+  std::size_t bytes_used_ = 0;
 };
 
-}  // namespace
-
-JsonValue JsonValue::make_bool(bool value) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = value;
-  return v;
-}
-
-JsonValue JsonValue::make_int(std::int64_t value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.integral_ = true;
-  v.int_ = value;
-  v.double_ = static_cast<double>(value);
-  return v;
-}
-
-JsonValue JsonValue::make_double(double value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.integral_ = false;
-  v.double_ = value;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string value) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(value);
-  return v;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.items_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::make_object(std::vector<Member> members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.members_ = std::move(members);
-  return v;
-}
+}  // namespace detail
 
 bool JsonValue::as_bool() const {
   if (kind_ != Kind::kBool) fail_kind("bool", kind_);
@@ -332,24 +368,24 @@ double JsonValue::as_double() const {
   return integral_ ? static_cast<double>(int_) : double_;
 }
 
-const std::string& JsonValue::as_string() const {
+std::string_view JsonValue::as_string() const {
   if (kind_ != Kind::kString) fail_kind("string", kind_);
-  return string_;
+  return {chars_, size_};
 }
 
-const std::vector<JsonValue>& JsonValue::items() const {
+JsonValue::Items JsonValue::items() const {
   if (kind_ != Kind::kArray) fail_kind("array", kind_);
-  return items_;
+  return {this + 1, next(), size_};
 }
 
-const std::vector<JsonValue::Member>& JsonValue::members() const {
+JsonValue::Members JsonValue::members() const {
   if (kind_ != Kind::kObject) fail_kind("object", kind_);
-  return members_;
+  return {this + 1, next()};
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  for (const Member& m : members()) {
-    if (m.first == key) return &m.second;
+  for (const Member m : members()) {
+    if (m.key == key) return &m.value;
   }
   return nullptr;
 }
@@ -359,21 +395,23 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   throw std::invalid_argument("json: missing member '" + std::string(key) + "'");
 }
 
-JsonValue parse_json(std::string_view text) { return Parser(text, JsonLimits{}).parse_document(); }
+JsonDocument parse_json(std::string_view text) {
+  return detail::JsonParser(text, JsonLimits{}).parse_document();
+}
 
-JsonValue parse_json(std::string_view text, const JsonLimits& limits) {
-  return Parser(text, limits).parse_document();
+JsonDocument parse_json(std::string_view text, const JsonLimits& limits) {
+  return detail::JsonParser(text, limits).parse_document();
 }
 
 void reject_unknown_members(const JsonValue& object,
                             std::initializer_list<std::string_view> allowed,
                             const char* context, const char* what) {
-  for (const JsonValue::Member& m : object.members()) {
+  for (const JsonValue::Member m : object.members()) {
     bool known = false;
-    for (const std::string_view key : allowed) known = known || m.first == key;
+    for (const std::string_view key : allowed) known = known || m.key == key;
     if (!known) {
       throw std::invalid_argument(std::string(context) + ": unknown " + what + " member '" +
-                                  m.first + "'");
+                                  std::string(m.key) + "'");
     }
   }
 }

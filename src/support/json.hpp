@@ -1,38 +1,52 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace sts {
 
-/// Minimal immutable JSON document model for the serving envelope
-/// (service/request.hpp) and tooling that validates emitted stats records.
-/// Parsed by `parse_json`; every accessor throws std::invalid_argument on a
-/// kind mismatch, so envelope readers get typed "malformed request" errors
-/// instead of silent coercions.
+namespace detail {
+class JsonParser;
+}
+
+/// One value of a parsed JsonDocument: the read side of the serving envelope
+/// (service/request.hpp), graph and edit readers, and `/stats` scrapes.
+/// Every accessor throws std::invalid_argument on a kind mismatch, so
+/// envelope readers get typed "malformed request" errors instead of silent
+/// coercions.
+///
+/// Values are nodes of their document's flat array, stored in document
+/// order: a container is followed by its elements (an object by key, value,
+/// key, value...), and records how many nodes its subtree spans, so the
+/// next sibling is one skip away and iteration never allocates. A value is
+/// only ever handled by reference into its document, which must outlive it;
+/// copying one out of the array is not possible.
 ///
 /// Numbers keep their exact integral value when the literal is an integer in
 /// int64 range (no '.', no exponent): graph volumes are int64 and must
 /// round-trip bit-exactly, which a double-only model cannot guarantee above
-/// 2^53. Object member order is preserved (vector of pairs, not a map);
-/// duplicate keys are rejected at parse time.
+/// 2^53. Object member order is preserved; duplicate keys are rejected at
+/// parse time.
 class JsonValue {
  public:
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Member = std::pair<std::string, JsonValue>;
 
-  JsonValue() = default;
+  /// One object member, viewed in place.
+  struct Member {
+    std::string_view key;
+    const JsonValue& value;
+  };
+  class Items;
+  class Members;
 
-  [[nodiscard]] static JsonValue make_null() { return JsonValue(); }
-  [[nodiscard]] static JsonValue make_bool(bool value);
-  [[nodiscard]] static JsonValue make_int(std::int64_t value);
-  [[nodiscard]] static JsonValue make_double(double value);
-  [[nodiscard]] static JsonValue make_string(std::string value);
-  [[nodiscard]] static JsonValue make_array(std::vector<JsonValue> items);
-  [[nodiscard]] static JsonValue make_object(std::vector<Member> members);
+  // Values live only inside their document's array, where navigation is
+  // pointer arithmetic: a copy would read past its own subtree.
+  JsonValue(const JsonValue&) = delete;
+  JsonValue& operator=(const JsonValue&) = delete;
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
   [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
@@ -41,9 +55,9 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] std::int64_t as_int() const;  ///< also rejects non-integral numbers
   [[nodiscard]] double as_double() const;
-  [[nodiscard]] const std::string& as_string() const;
-  [[nodiscard]] const std::vector<JsonValue>& items() const;   ///< array elements
-  [[nodiscard]] const std::vector<Member>& members() const;    ///< object members
+  [[nodiscard]] std::string_view as_string() const;  ///< bytes owned by the document
+  [[nodiscard]] Items items() const;                 ///< array elements
+  [[nodiscard]] Members members() const;             ///< object members
 
   /// Object member lookup; nullptr when absent. Throws if not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
@@ -52,14 +66,120 @@ class JsonValue {
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
 
  private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  bool integral_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<Member> members_;
+  friend class detail::JsonParser;
+
+  JsonValue() = default;  // only the parser creates nodes, in a document's array
+
+  /// The node after this value's subtree: the next sibling, or the end of
+  /// the enclosing container.
+  [[nodiscard]] const JsonValue* next() const noexcept {
+    return this + 1 + (kind_ >= Kind::kArray ? span_ : 0);
+  }
+
+  Kind kind_;
+  bool integral_;       // kNumber: the literal was an int64, held in int_
+  std::uint32_t size_;  // kString: byte length; kArray / kObject: element / member count
+  union {
+    bool bool_;
+    std::int64_t int_;
+    double double_;
+    const char* chars_;  // kString: the document's copy of the decoded bytes
+    std::size_t span_;   // kArray / kObject: nodes in the subtree below this one
+  };
+};
+
+/// Range over an array's elements (for range-for).
+class JsonValue::Items {
+ public:
+  class iterator {
+   public:
+    explicit iterator(const JsonValue* at) : at_(at) {}
+    const JsonValue& operator*() const { return *at_; }
+    iterator& operator++() {
+      at_ = at_->next();
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const JsonValue* at_;
+  };
+
+  Items(const JsonValue* first, const JsonValue* last, std::size_t size)
+      : first_(first), last_(last), size_(size) {}
+
+  [[nodiscard]] iterator begin() const { return iterator(first_); }
+  [[nodiscard]] iterator end() const { return iterator(last_); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Element i (< size()): O(1) when every element is a scalar, otherwise a
+  /// walk over the i elements before it.
+  [[nodiscard]] const JsonValue& operator[](std::size_t i) const {
+    if (static_cast<std::size_t>(last_ - first_) == size_) return first_[i];
+    const JsonValue* at = first_;
+    for (; i > 0; --i) at = at->next();
+    return *at;
+  }
+
+ private:
+  const JsonValue* first_;
+  const JsonValue* last_;
+  std::size_t size_;
+};
+
+/// Range over an object's members, in document order (for range-for).
+class JsonValue::Members {
+ public:
+  class iterator {
+   public:
+    explicit iterator(const JsonValue* key) : key_(key) {}
+    Member operator*() const { return Member{{key_->chars_, key_->size_}, key_[1]}; }
+    iterator& operator++() {
+      key_ = key_[1].next();
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const JsonValue* key_;
+  };
+
+  Members(const JsonValue* first, const JsonValue* last) : first_(first), last_(last) {}
+
+  [[nodiscard]] iterator begin() const { return iterator(first_); }
+  [[nodiscard]] iterator end() const { return iterator(last_); }
+
+ private:
+  const JsonValue* first_;
+  const JsonValue* last_;
+};
+
+/// A parsed JSON document: every value in one contiguous node array, and
+/// every decoded string byte in one buffer the document owns (never a view
+/// of the parsed text, which may be a temporary). Moving a document keeps
+/// every value and string view into it valid.
+///
+/// A document reads like its root value: the root's lookups and common
+/// accessors are repeated here, and a document converts to
+/// `const JsonValue&` so it can be handed to a reader directly. That
+/// reference lives only as long as the document.
+class JsonDocument {
+ public:
+  [[nodiscard]] const JsonValue& root() const noexcept { return nodes_[0]; }
+  operator const JsonValue&() const noexcept { return root(); }
+
+  [[nodiscard]] std::int64_t as_int() const { return root().as_int(); }
+  [[nodiscard]] std::string_view as_string() const { return root().as_string(); }
+  [[nodiscard]] JsonValue::Items items() const { return root().items(); }
+  [[nodiscard]] const JsonValue* find(std::string_view key) const { return root().find(key); }
+  [[nodiscard]] const JsonValue& at(std::string_view key) const { return root().at(key); }
+
+ private:
+  friend class detail::JsonParser;
+  JsonDocument() = default;
+
+  std::unique_ptr<JsonValue[]> nodes_;
+  std::unique_ptr<char[]> bytes_;
 };
 
 /// Resource bounds for parsing untrusted input (network bodies). Both
@@ -83,11 +203,11 @@ struct JsonLimits {
 /// trailing garbage, duplicate object keys, or nesting deeper than 64
 /// levels. Accepts the RFC 8259 grammar; no extensions (comments, NaN,
 /// trailing commas).
-[[nodiscard]] JsonValue parse_json(std::string_view text);
+[[nodiscard]] JsonDocument parse_json(std::string_view text);
 
 /// parse_json with explicit resource bounds — the untrusted-input entry
 /// point (StsServer request bodies, RemoteBackend response bodies).
-[[nodiscard]] JsonValue parse_json(std::string_view text, const JsonLimits& limits);
+[[nodiscard]] JsonDocument parse_json(std::string_view text, const JsonLimits& limits);
 
 /// Appends `text` JSON-escaped (quotes, backslash, control characters)
 /// between double quotes.

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz_specs.hpp"
 #include "graph/task_graph.hpp"
 #include "paper_examples.hpp"
 #include "support/prng.hpp"
@@ -154,35 +155,6 @@ TaskGraph reference_apply_graph_edits(const TaskGraph& base, const std::vector<G
   return out;
 }
 
-/// Appends `part` as a disjoint component, names and declarations included.
-void append_component(TaskGraph& graph, const TaskGraph& part, const std::string& prefix) {
-  const auto offset = static_cast<NodeId>(graph.node_count());
-  for (NodeId v = 0; static_cast<std::size_t>(v) < part.node_count(); ++v) {
-    const std::string name = prefix + std::to_string(v);
-    NodeId added = -1;
-    switch (part.kind(v)) {
-      case NodeKind::kSource:
-        added = graph.add_source(part.declared_output(v), name);
-        break;
-      case NodeKind::kCompute:
-        added = graph.add_compute(name);
-        break;
-      case NodeKind::kBuffer:
-        added = graph.add_buffer(name);
-        break;
-      case NodeKind::kSink:
-        added = graph.add_sink(name);
-        break;
-    }
-    if (part.kind(v) != NodeKind::kSource && part.declared_output(v) > 0) {
-      graph.declare_output(added, part.declared_output(v));
-    }
-  }
-  for (const Edge& edge : part.edges()) {
-    graph.add_edge(offset + edge.src, offset + edge.dst, edge.volume);
-  }
-}
-
 /// Random layered components plus the paper examples (a buffer node among
 /// them) and a sink carrying a stray declared output, which a materialized
 /// graph drops.
@@ -193,11 +165,12 @@ TaskGraph multi_component_base(std::uint64_t seed) {
     spec.layers = 3 + c;
     spec.width = 2 + c;
     spec.edge_probability = 0.4;
-    append_component(graph, make_random_layered(spec, seed * 7 + static_cast<std::uint64_t>(c)),
-                     "r" + std::to_string(c) + "_");
+    testing::append_component(
+        graph, make_random_layered(spec, seed * 7 + static_cast<std::uint64_t>(c)),
+        "r" + std::to_string(c) + "_");
   }
-  append_component(graph, testing::figure8_graph(), "f8_");
-  append_component(graph, testing::buffer_split_example(), "bs_");
+  testing::append_component(graph, testing::figure8_graph(), "f8_");
+  testing::append_component(graph, testing::buffer_split_example(), "bs_");
   const NodeId src = graph.add_source(8, "tail_src");
   const NodeId sink = graph.add_sink("tail_sink");
   graph.add_edge(src, sink, 8);

@@ -8,8 +8,14 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "service/backend.hpp"
+#include "service/request.hpp"
+#include "service/schedule_service.hpp"
 #include "support/json.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace sts {
 namespace {
@@ -136,7 +142,7 @@ TEST(JsonHardening, DeepButLegalDocumentsRoundTripUnderTheLimit) {
   limits.max_depth = 8;
   const std::string doc =
       "{\"a\": [{\"b\": [{\"c\": [{\"d\": [7]}]}]}]}";  // depth 8
-  const JsonValue v = parse_json(doc, limits);
+  const JsonDocument v = parse_json(doc, limits);
   EXPECT_EQ(v.at("a").items()[0].at("b").items()[0].at("c").items()[0].at("d").items()[0]
                 .as_int(),
             7);
@@ -155,6 +161,48 @@ TEST(JsonHardening, WideDocumentsAreNotDepth) {
   JsonLimits limits;
   limits.max_depth = 1;
   EXPECT_EQ(parse_json(wide, limits).items().size(), 10000u);
+}
+
+TEST(JsonHardening, EveryProperPrefixOfARealDocumentThrows) {
+  // A body cut anywhere (a dropped connection, a truncated scrape) must fail
+  // typed: never parse as a shorter document, never read past the cut.
+  ServiceConfig config;
+  config.num_workers = 1;
+  ScheduleService service(config);
+  ScheduleRequest request;
+  request.graph = make_cholesky(8, 3);
+  request.machine.num_pes = 32;
+  request.sim = SimOptions{};
+  request.label = "prefix \"cut\"\n";
+  const std::string request_json = request.to_json();
+  const ScheduleResponse response = service.schedule(request);
+  ASSERT_EQ(response.status, ScheduleResponse::Status::kOk) << response.error;
+  const std::string response_json = response.to_json();
+  const std::string stats_json = service.stats_json();
+
+  // The whole documents parse; every proper prefix throws.
+  EXPECT_EQ(ScheduleRequest::from_json(request_json).key(), request.key());
+  EXPECT_EQ(ScheduleResponse::from_json(response_json).result->makespan,
+            response.result->makespan);
+  EXPECT_EQ(service_stats_from_json(parse_json(stats_json)).submitted, 1u);
+  // Each prefix gets an allocation of exactly its size, so under ASan a read
+  // past the cut is a report, not a read of the next byte of the document.
+  const auto for_each_prefix = [](const std::string& text, const auto& check) {
+    for (std::size_t n = 0; n < text.size(); ++n) {
+      const std::vector<char> cut(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(n));
+      check(std::string_view(cut.data(), cut.size()), n);
+    }
+  };
+  for_each_prefix(request_json, [](std::string_view prefix, std::size_t n) {
+    EXPECT_THROW((void)parse_json(prefix), std::invalid_argument) << n;
+    EXPECT_THROW((void)ScheduleRequest::from_json(prefix), std::invalid_argument) << n;
+  });
+  for_each_prefix(response_json, [](std::string_view prefix, std::size_t n) {
+    EXPECT_THROW((void)ScheduleResponse::from_json(prefix), std::invalid_argument) << n;
+  });
+  for_each_prefix(stats_json, [](std::string_view prefix, std::size_t n) {
+    EXPECT_THROW((void)service_stats_from_json(parse_json(prefix)), std::invalid_argument) << n;
+  });
 }
 
 }  // namespace

@@ -194,7 +194,7 @@ TEST(StsServer, HealthzIsAliveAndStatsServesTheBackendDocument) {
   fixture.service->wait_idle();
   const HttpResponse stats = one_shot(fixture.port(), render_http_request("GET", "/stats", ""));
   EXPECT_EQ(stats.status, 200);
-  const JsonValue doc = parse_json(stats.body);
+  const JsonDocument doc = parse_json(stats.body);
   EXPECT_EQ(doc.at("submitted").as_int(), 1);
   EXPECT_EQ(doc.at("completed").as_int(), 1);
   EXPECT_EQ(doc.at("schema_version").as_int(),

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -50,30 +51,109 @@ ScheduleRequest fuzz_request(int shape, std::uint64_t seed) {
   return request;
 }
 
-TEST(ScheduleRequestJson, RoundTripPreservesKeyAcrossFuzzedEnvelopes) {
+/// Several fuzz-shaped random components in one graph, named with prefixes
+/// that need JSON escapes (quote, backslash, control bytes) or carry
+/// non-ASCII UTF-8 bytes.
+TaskGraph named_multi_component_graph(std::uint64_t seed) {
+  const std::string prefixes[] = {"quote\" back\\slash/ ", "tab\t newline\n bell\x07 del\x7f ",
+                                  "\xc3\xa9t\xc3\xa9 \xe2\x98\x83 \xf0\x9f\x9a\x80 "};
+  TaskGraph graph;
+  for (int c = 0; c < 3; ++c) {
+    const int shape = (c + static_cast<int>(seed)) % 4;
+    const std::uint64_t part_seed = seed * 3 + static_cast<std::uint64_t>(c);
+    testing::append_component(graph, make_random_layered(testing::fuzz_spec_for(shape), part_seed),
+                              prefixes[c]);
+  }
+  return graph;
+}
+
+/// source -> a -> b with 8 on both edges and exit b declaring 8: an invalid
+/// graph because either a (`at_source` false) or the source declares 16.
+TaskGraph contradicting_declaration(bool at_source) {
+  TaskGraph graph;
+  const NodeId source = graph.add_source(at_source ? 16 : 8, "source");
+  const NodeId a = graph.add_compute("a");
+  const NodeId b = graph.add_compute("b");
+  graph.add_edge(source, a, 8);
+  graph.add_edge(a, b, 8);
+  if (!at_source) graph.declare_output(a, 16);
+  graph.declare_output(b, 8);
+  return graph;
+}
+
+struct RoundTripCase {
+  std::string name;
+  ScheduleRequest request;
+  bool valid = true;
+};
+
+/// The fuzzed envelope grid, multi-component graphs with escaped and
+/// non-ASCII names, and two invalid graphs whose declared outputs contradict
+/// their out-edges.
+std::vector<RoundTripCase> round_trip_cases() {
+  std::vector<RoundTripCase> cases;
   for (int shape = 0; shape < 4; ++shape) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SCOPED_TRACE("shape " + std::to_string(shape) + ", seed " + std::to_string(seed));
-      const ScheduleRequest original = fuzz_request(shape, seed);
-      const std::string json = original.to_json();
-      const ScheduleRequest parsed = ScheduleRequest::from_json(json);
-
-      // The acceptance invariant: identical key => identical cache entry.
-      EXPECT_EQ(parsed.key(), original.key());
-      EXPECT_EQ(canonical_fingerprint(parsed.graph), canonical_fingerprint(original.graph));
-      EXPECT_EQ(parsed.graph.node_count(), original.graph.node_count());
-      EXPECT_EQ(parsed.graph.edge_count(), original.graph.edge_count());
-      EXPECT_EQ(parsed.scheduler, original.scheduler);
-      EXPECT_EQ(parsed.machine.cache_key(), original.machine.cache_key());
-      EXPECT_EQ(parsed.sim.has_value(), original.sim.has_value());
-      if (original.sim) EXPECT_EQ(parsed.sim->cache_key(), original.sim->cache_key());
-      EXPECT_EQ(parsed.admission, original.admission);
-      EXPECT_EQ(parsed.priority, original.priority);
-      EXPECT_EQ(parsed.label, original.label);
-
-      // Serialization is stable: a second trip emits the same bytes.
-      EXPECT_EQ(parsed.to_json(), json);
+      cases.push_back({"shape " + std::to_string(shape) + ", seed " + std::to_string(seed),
+                       fuzz_request(shape, seed)});
     }
+  }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    ScheduleRequest request = fuzz_request(static_cast<int>(seed % 4), seed);
+    request.graph = named_multi_component_graph(seed);
+    cases.push_back({"named multi-component, seed " + std::to_string(seed), std::move(request)});
+  }
+  for (const bool at_source : {false, true}) {
+    ScheduleRequest request;
+    request.graph = contradicting_declaration(at_source);
+    cases.push_back({at_source ? "source declares 16 on an edge of 8"
+                               : "compute declares 16 on an edge of 8",
+                     std::move(request), false});
+  }
+  return cases;
+}
+
+/// A node's declared output where it has one, else its derived volume: the
+/// volume the key records. A declaration equal to the derived volume is not
+/// written, so this, not declared_output(), is what a trip must preserve.
+std::int64_t declared_or_derived(const TaskGraph& graph, NodeId v) {
+  const std::int64_t declared = graph.declared_output(v);
+  return graph.kind(v) != NodeKind::kSink && declared > 0 ? declared : graph.output_volume(v);
+}
+
+TEST(ScheduleRequestJson, RoundTripPreservesKeyAcrossFuzzedEnvelopes) {
+  for (const RoundTripCase& input : round_trip_cases()) {
+    SCOPED_TRACE(input.name);
+    const ScheduleRequest& original = input.request;
+    const std::string json = original.to_json();
+    const ScheduleRequest parsed = ScheduleRequest::from_json(json);
+
+    // The acceptance invariant: identical key => identical cache entry.
+    EXPECT_EQ(parsed.key(), original.key());
+    EXPECT_EQ(canonical_fingerprint(parsed.graph), canonical_fingerprint(original.graph));
+    EXPECT_EQ(parsed.graph.node_count(), original.graph.node_count());
+    EXPECT_EQ(parsed.graph.edge_count(), original.graph.edge_count());
+    EXPECT_EQ(parsed.scheduler, original.scheduler);
+    EXPECT_EQ(parsed.machine.cache_key(), original.machine.cache_key());
+    EXPECT_EQ(parsed.sim.has_value(), original.sim.has_value());
+    if (original.sim) EXPECT_EQ(parsed.sim->cache_key(), original.sim->cache_key());
+    EXPECT_EQ(parsed.admission, original.admission);
+    EXPECT_EQ(parsed.priority, original.priority);
+    EXPECT_EQ(parsed.label, original.label);
+
+    // Serialization is stable: a second trip emits the same bytes.
+    EXPECT_EQ(parsed.to_json(), json);
+
+    // Names and declared outputs survive, and an invalid graph stays
+    // invalid for the same reasons instead of arriving as its valid twin.
+    const std::size_t nodes = std::min(parsed.graph.node_count(), original.graph.node_count());
+    for (NodeId v = 0; static_cast<std::size_t>(v) < nodes; ++v) {
+      EXPECT_EQ(parsed.graph.name(v), original.graph.name(v)) << "node " << v;
+      EXPECT_EQ(declared_or_derived(parsed.graph, v), declared_or_derived(original.graph, v))
+          << "node " << v;
+    }
+    EXPECT_EQ(parsed.graph.validate(), original.graph.validate());
+    EXPECT_EQ(original.graph.validate().empty(), input.valid);
   }
 }
 
@@ -193,11 +273,29 @@ TEST(JsonParser, RejectsStructuralGarbage) {
 }
 
 TEST(JsonParser, KeepsInt64Exact) {
-  const JsonValue v = parse_json("[9223372036854775807, -9223372036854775808, 2.5]");
+  const JsonDocument v = parse_json("[9223372036854775807, -9223372036854775808, 2.5]");
   EXPECT_EQ(v.items()[0].as_int(), std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(v.items()[1].as_int(), std::numeric_limits<std::int64_t>::min());
   EXPECT_THROW((void)v.items()[2].as_int(), std::invalid_argument);
   EXPECT_DOUBLE_EQ(v.items()[2].as_double(), 2.5);
+}
+
+TEST(JsonParser, IndexesAndIteratesPastNestedSiblings) {
+  // Elements after a container are reached by skipping its whole subtree.
+  const JsonDocument v = parse_json(R"([[1, [2]], {"a": [3, {}], "b": "s"}, "t", 4])");
+  ASSERT_EQ(v.items().size(), 4u);
+  EXPECT_EQ(v.items()[0].items()[1].items()[0].as_int(), 2);
+  EXPECT_EQ(v.items()[1].at("b").as_string(), "s");
+  EXPECT_EQ(v.items()[2].as_string(), "t");
+  EXPECT_EQ(v.items()[3].as_int(), 4);
+  std::string keys;
+  for (const JsonValue::Member m : v.items()[1].members()) keys += m.key;
+  EXPECT_EQ(keys, "ab");
+  std::int64_t sum = 0;
+  for (const JsonValue& item : v.items()) {
+    if (item.kind() == JsonValue::Kind::kNumber) sum += item.as_int();
+  }
+  EXPECT_EQ(sum, 4);
 }
 
 }  // namespace

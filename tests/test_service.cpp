@@ -259,7 +259,7 @@ ServiceStats distinct_stats(std::uint64_t first) {
 TEST(ServiceStatsWire, EveryCounterRoundTripsThroughTheStatsDocument) {
   ServiceStats sent = distinct_stats(1);
   sent.shard_max_depth = {3, 0, 7};
-  const JsonValue document =
+  const JsonDocument document =
       parse_json(ScheduleService::render_stats_json(sent, 3, 8, 5, 40, 100, 1.5));
   const ServiceStats received = service_stats_from_json(document);
 
