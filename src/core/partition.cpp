@@ -176,7 +176,7 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
   const std::vector<Rational> level = node_levels(graph, &work);
   CanonicalPartitionIndex owned_index;
   if (!index) {
-    owned_index = canonical_partition_index(graph);
+    owned_index = canonical_partition_index(graph, level);
     index = &owned_index;
   }
   const std::vector<std::int32_t>& rank = index->rank;
@@ -268,7 +268,7 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
   const std::vector<Rational> level = node_levels(graph, &work);
   CanonicalPartitionIndex owned_index;
   if (!index) {
-    owned_index = canonical_partition_index(graph);
+    owned_index = canonical_partition_index(graph, level);
     index = &owned_index;
   }
   const std::vector<std::int32_t>& rank = index->rank;

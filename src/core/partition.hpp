@@ -51,7 +51,8 @@ struct SpatialPartition {
 /// downstream pipeline stage — compose per component, which is what lets the
 /// SubgraphCache assemble whole-graph results from per-component fragments
 /// bit-identically to a cold run. Pass a precomputed `index` to skip the
-/// internal canonicalization (it must describe `graph`).
+/// internal canonicalization (it must describe `graph`); without one, the
+/// canonicalization reuses the node levels the partitioner computes anyway.
 ///
 /// When a Workspace is given, its arena backs the builder scratch (no
 /// per-node heap allocations) and its lanes fan out the per-iteration argmin

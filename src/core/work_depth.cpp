@@ -11,7 +11,11 @@ WorkDepth analyze_work_depth(const TaskGraph& graph) {
   WorkDepth result;
   result.work = graph.total_work();
   result.levels = graph_level(graph);
+  result.streaming_depth = streaming_depth(graph);
+  return result;
+}
 
+Rational streaming_depth(const TaskGraph& graph) {
   const std::size_t n = graph.node_count();
   const BufferSplitWccs wccs = buffer_split_wccs(graph);
   const auto wcc_count = static_cast<std::size_t>(wccs.count);
@@ -104,12 +108,7 @@ WorkDepth analyze_work_depth(const TaskGraph& graph) {
       if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
     }
   }
-  result.streaming_depth = deepest;
-  return result;
-}
-
-Rational streaming_depth(const TaskGraph& graph) {
-  return analyze_work_depth(graph).streaming_depth;
+  return deepest;
 }
 
 }  // namespace sts

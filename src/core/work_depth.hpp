@@ -25,7 +25,7 @@ struct WorkDepth {
 
 [[nodiscard]] WorkDepth analyze_work_depth(const TaskGraph& graph);
 
-/// Convenience: T_s_inf only.
+/// T_s_inf only, without analyze_work_depth's graph_level walk.
 [[nodiscard]] Rational streaming_depth(const TaskGraph& graph);
 
 }  // namespace sts

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -540,13 +541,17 @@ void partition_raw_form(const TaskGraph& graph, std::span<const NodeId> nodes,
 }  // namespace
 
 CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph) {
+  return canonical_partition_index(graph, node_levels(graph));
+}
+
+CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph,
+                                                  std::span<const Rational> levels) {
   const std::size_t n = graph.node_count();
   CanonicalPartitionIndex index;
   build_partition_groups(graph, index);
 
-  const std::vector<Rational> level = node_levels(graph);
   for (std::size_t v = 0; v < n; ++v) {
-    index.node_hash[v] = seed_hash(graph, static_cast<NodeId>(v), level[v]);
+    index.node_hash[v] = seed_hash(graph, static_cast<NodeId>(v), levels[v]);
   }
 
   RefineScratch rs;
@@ -731,8 +736,7 @@ std::string canonical_partition_form(const TaskGraph& graph,
 
 TaskGraph materialize_partition(const TaskGraph& graph,
                                 const CanonicalPartitionIndex& index,
-                                std::int32_t c,
-                                std::vector<EdgeId>* edge_ids) {
+                                std::int32_t c) {
   const std::span<const NodeId> nodes = index.nodes(c);
   TaskGraph local;
   for (const NodeId v : nodes) {
@@ -755,15 +759,32 @@ TaskGraph materialize_partition(const TaskGraph& graph,
         break;
     }
   }
-  if (edge_ids) edge_ids->clear();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (const EdgeId e : graph.out_edges(nodes[i])) {
       const Edge& edge = graph.edge(e);
       local.add_edge(static_cast<NodeId>(i),
                      index.rank[static_cast<std::size_t>(edge.dst)], edge.volume);
-      if (edge_ids) edge_ids->push_back(e);
     }
   }
+  return local;
+}
+
+CanonicalPartitionIndex materialized_partition_index(const CanonicalPartitionIndex& index,
+                                                     std::int32_t c) {
+  const std::span<const NodeId> nodes = index.nodes(c);
+  const std::size_t n = nodes.size();
+  CanonicalPartitionIndex local;
+  local.count = 1;
+  local.component.assign(n, 0);
+  local.node_hash.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    local.node_hash[i] = index.node_hash[static_cast<std::size_t>(nodes[i])];
+  }
+  local.order.resize(n);
+  std::iota(local.order.begin(), local.order.end(), NodeId{0});
+  local.rank.resize(n);
+  std::iota(local.rank.begin(), local.rank.end(), std::int32_t{0});
+  local.offsets = {0, n};
   return local;
 }
 

@@ -9,6 +9,7 @@
 
 #include "graph/task_graph.hpp"
 #include "support/json.hpp"
+#include "support/rational.hpp"
 #include "support/thread_annotations.hpp"
 #include "support/weighted_lru.hpp"
 
@@ -104,6 +105,12 @@ struct CanonicalPartitionIndex {
 };
 
 [[nodiscard]] CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph);
+
+/// As above, seeded with the graph's node_levels(graph) (a caller that
+/// already walked them — the partitioners — passes them instead of paying
+/// for the walk twice). The plain overload is this one over node_levels.
+[[nodiscard]] CanonicalPartitionIndex canonical_partition_index(
+    const TaskGraph& graph, std::span<const Rational> levels);
 
 /// Content-addressed memo of per-partition canonicalizations. Structural
 /// refinement is the dominant cost of canonical_partition_index on large
@@ -203,13 +210,19 @@ class PartitionCanonMemo {
 
 /// Materializes one connected partition as a standalone TaskGraph whose node
 /// ids are the canonical ranks (order preserved from `index`), replicating
-/// kinds, declared outputs, and per-node out-edge insertion order. If
-/// `edge_ids` is non-null it receives, per local edge id, the EdgeId of the
-/// corresponding edge in `graph` — the mapping fragment assembly uses to
-/// translate channel plans back into whole-graph coordinates.
+/// kinds, declared outputs, and per-node out-edge insertion order.
 [[nodiscard]] TaskGraph materialize_partition(const TaskGraph& graph,
                                               const CanonicalPartitionIndex& index,
-                                              std::int32_t c,
-                                              std::vector<EdgeId>* edge_ids = nullptr);
+                                              std::int32_t c);
+
+/// The canonical_partition_index of materialize_partition(graph, index, c),
+/// built in O(n) without refinement. Refinement reads only structure
+/// intrinsic to the partition, so each materialized node keeps the hash it
+/// had in the whole graph; its local id is its rank, its position in
+/// (hash, original id) order, so the (hash, local id) order is the identity:
+/// one partition, order == rank == 0..n-1. How fragment scheduling skips
+/// re-canonicalizing a partition it just materialized.
+[[nodiscard]] CanonicalPartitionIndex materialized_partition_index(
+    const CanonicalPartitionIndex& index, std::int32_t c);
 
 }  // namespace sts

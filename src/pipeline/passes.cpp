@@ -27,14 +27,14 @@ void PartitionPass::run(ScheduleContext& ctx) const {
   switch (strategy_) {
     case PartitionStrategy::kLTS:
       ctx.partition =
-          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kLTS, ws);
+          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kLTS, ws, ctx.canon);
       break;
     case PartitionStrategy::kRLX:
       ctx.partition =
-          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kRLX, ws);
+          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kRLX, ws, ctx.canon);
       break;
     case PartitionStrategy::kWork:
-      ctx.partition = partition_by_work(g, ctx.machine.num_pes, ws);
+      ctx.partition = partition_by_work(g, ctx.machine.num_pes, ws, ctx.canon);
       break;
   }
 }

@@ -15,7 +15,8 @@ enum class PartitionStrategy : std::uint8_t {
 
 [[nodiscard]] const char* to_string(PartitionStrategy strategy) noexcept;
 
-/// Spatial-block partitioning (paper Section 5.2) -> ctx.partition.
+/// Spatial-block partitioning (paper Section 5.2) -> ctx.partition. Breaks
+/// ties by ctx.canon's ranks when set, else canonicalizes the graph.
 class PartitionPass final : public Pass {
  public:
   explicit PartitionPass(PartitionStrategy strategy) : strategy_(strategy) {}

@@ -71,6 +71,11 @@ struct ScheduleContext {
   const TaskGraph* graph = nullptr;
   MachineConfig machine;
 
+  /// Canonical partition index of `graph` when the caller already holds one
+  /// (a fragment materialized by the SubgraphCache); non-owning, like
+  /// `graph`. Null means PartitionPass canonicalizes the graph itself.
+  const CanonicalPartitionIndex* canon = nullptr;
+
   /// Per-request execution resources (arena scratch + parallel lanes per
   /// machine.intra_threads), created by Scheduler::schedule and threaded
   /// into the pass implementations. Shared-ptr so contexts stay copyable;

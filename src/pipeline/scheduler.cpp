@@ -41,12 +41,14 @@ void validate_schedule_inputs(const TaskGraph& graph, const MachineConfig& machi
   }
 }
 
-ScheduleResult Scheduler::schedule(const TaskGraph& graph, const MachineConfig& machine) const {
+ScheduleResult Scheduler::schedule(const TaskGraph& graph, const MachineConfig& machine,
+                                   const CanonicalPartitionIndex* canon) const {
   validate_schedule_inputs(graph, machine);
 
   ScheduleContext ctx;
   ctx.graph = &graph;
   ctx.machine = machine;
+  ctx.canon = canon;
   ctx.workspace = std::make_shared<Workspace>(machine.intra_threads);
   build_pipeline(machine).run(ctx);
 

@@ -54,8 +54,10 @@ class Scheduler {
   /// pipeline, and packs the context artifacts into a ScheduleResult.
   /// Throws std::invalid_argument with the full diagnostic list when the
   /// graph is not a valid canonical task graph or the machine is degenerate.
-  [[nodiscard]] ScheduleResult schedule(const TaskGraph& graph,
-                                        const MachineConfig& machine) const;
+  /// A non-null `canon` must be the canonical_partition_index of `graph`;
+  /// the partition pass then uses it instead of canonicalizing again.
+  [[nodiscard]] ScheduleResult schedule(const TaskGraph& graph, const MachineConfig& machine,
+                                        const CanonicalPartitionIndex* canon = nullptr) const;
 };
 
 /// Shared precondition check: throws std::invalid_argument listing every

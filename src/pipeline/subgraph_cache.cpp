@@ -265,9 +265,14 @@ ScheduleResult schedule_with_subgraph_cache(const std::string& scheduler,
     const std::uint64_t hash = mix64(context_digest, ranks.form_digest);
     auto fragment = cache.find(hash, context, ranks.form, delta_request);
     if (!fragment) {
+      // The partition is numbered by canonical rank, so its own index is the
+      // identity and its pipeline never canonicalizes it a second time.
       const TaskGraph local = materialize_partition(graph, index, c);
-      fragment = cache.insert(hash, context, ranks.form,
-                              schedule_by_name(scheduler, local, machine), local.node_count());
+      const CanonicalPartitionIndex local_index = materialized_partition_index(index, c);
+      fragment = cache.insert(
+          hash, context, ranks.form,
+          SchedulerRegistry::instance().create(scheduler)->schedule(local, machine, &local_index),
+          local.node_count());
     }
     fragments[static_cast<std::size_t>(c)] = std::move(fragment);
   }

@@ -104,8 +104,9 @@ class SubgraphCache {
 
 /// Schedules `graph` through the fragment cache: canonicalizes its connected
 /// partitions, reuses every cached fragment, schedules only the missing ones
-/// (each as a standalone canonical graph), and assembles a whole-graph
-/// ScheduleResult whose result_fingerprint is bit-identical to
+/// (each as a standalone canonical graph, handed its identity index from
+/// materialized_partition_index so it is canonicalized once), and assembles
+/// a whole-graph ScheduleResult whose result_fingerprint is bit-identical to
 /// schedule_by_name(scheduler, graph, machine).
 ///
 /// Fragment composition applies to the streaming pipeline schedulers

@@ -85,8 +85,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
         ++counters_.submitted;
         if (delta_simulate) ++counters_.simulated;
       }
-      failed.set_value(Settled::from_current_exception());
-      finish_one(true);
+      finish_one(failed, Settled::from_current_exception(), /*fast_path=*/false);
       return admission;
     }
   }
@@ -115,13 +114,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // Fast path: an already-completed result resolves synchronously without a
   // queue round trip. Admission control never refuses a cached answer.
   if (ResultPtr hit = cache_.try_get(hash, key)) {
-    promise.set_value(Settled{std::move(hit), {}, false, std::nullopt});
-    {
-      const MutexLock lock(stats_mutex_);
-      ++counters_.completed;
-      ++counters_.fast_path_hits;
-    }
-    idle_cv_.notify_all();
+    finish_one(promise, Settled{std::move(hit), {}, false, std::nullopt}, /*fast_path=*/true);
     return admission;
   }
 
@@ -248,9 +241,7 @@ void ScheduleService::worker_loop(Shard& shard) {
     } catch (...) {
       settled = Settled::from_current_exception();
     }
-    const bool failed = !settled.error.empty();
-    job.promise.set_value(std::move(settled));
-    finish_one(failed);
+    finish_one(job.promise, std::move(settled), /*fast_path=*/false);
   }
 }
 
@@ -270,11 +261,17 @@ std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& d
   return base != nullptr ? *base : nullptr;
 }
 
-void ScheduleService::finish_one(bool failed) {
+void ScheduleService::finish_one(std::promise<Settled>& promise, Settled settled,
+                                 bool fast_path) {
   {
+    // Count and settle in one hold: whoever sees the future settled reads
+    // its completion counted, and wait_idle (which reads the counters under
+    // this lock) returns only after the future has settled.
     const MutexLock lock(stats_mutex_);
     ++counters_.completed;
-    if (failed) ++counters_.failed;
+    if (!settled.error.empty()) ++counters_.failed;
+    if (fast_path) ++counters_.fast_path_hits;
+    promise.set_value(std::move(settled));
   }
   idle_cv_.notify_all();
 }

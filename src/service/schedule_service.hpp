@@ -191,7 +191,10 @@ class ScheduleService : public ScheduleBackend {
 
   [[nodiscard]] ScheduleResult compute_job(const Job& job);
   void worker_loop(Shard& shard) EXCLUDES(stats_mutex_);
-  void finish_one(bool failed) EXCLUDES(stats_mutex_);
+  /// Settles `promise` with `settled` and counts the completion (failed when
+  /// settled.error is set) under the same stats_mutex_ hold.
+  void finish_one(std::promise<Settled>& promise, Settled settled, bool fast_path)
+      EXCLUDES(stats_mutex_);
 
   /// Remembers `graph` as a possible delta base under the request digest
   /// (bounded LRU; an already-known digest is just refreshed, sparing the

@@ -110,7 +110,9 @@ class Arena {
     while (size < at_least) size *= 2;
     next_block_bytes_ = size * 2;  // geometric growth keeps block count O(log)
     if (const HeapHook hook = heap_hook_slot().load(std::memory_order_acquire)) hook(size);
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size});
+    // Uninitialized, as documented: zeroing a fresh 64 KB block would cost
+    // every cold request ~2 us (and ~2 ms under ThreadSanitizer).
+    blocks_.push_back(Block{std::make_unique_for_overwrite<std::byte[]>(size), size});
     block_index_ = blocks_.size() - 1;
     offset_ = 0;
   }

@@ -44,7 +44,8 @@ TEST(ScheduleService, MatchesDirectScheduling) {
   EXPECT_EQ(result->makespan, direct.makespan);
   EXPECT_EQ(result->buffers->total_capacity, direct.buffers->total_capacity);
 
-  // Counters are published after the promise, so synchronize via wait_idle.
+  // The completion is counted in the lock hold that settles the future, so
+  // the counters are already current here and wait_idle returns at once.
   service.wait_idle();
   const ScheduleService::Stats stats = service.stats();
   EXPECT_EQ(stats.submitted, 1u);
@@ -187,6 +188,23 @@ TEST(ScheduleService, WaitIdleDrainsEverything) {
   for (auto& f : futures) {
     EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     EXPECT_GT(f.get()->makespan, 0);
+  }
+}
+
+TEST(ScheduleService, SettledFutureReadsItsCompletionCounted) {
+  // The other direction of WaitIdleDrainsEverything: a caller that sees its
+  // future settle must read that completion in stats(), with no wait_idle.
+  // Cold jobs settle on the worker thread, racing the caller's read.
+  ScheduleService service(ServiceConfig{1});
+  constexpr int kRequests = 10000;
+  for (int i = 0; i < kRequests; ++i) {
+    ScheduleService::Future future =
+        service
+            .submit(request_for(make_chain(8, static_cast<std::uint64_t>(i)), "streaming-rlx", 4))
+            .future;
+    while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    }
+    ASSERT_GE(service.stats().completed, static_cast<std::uint64_t>(i) + 1) << "request " << i;
   }
 }
 
