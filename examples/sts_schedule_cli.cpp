@@ -54,8 +54,8 @@
 // whole-graph cache entries only. A line that is not a valid envelope gets
 // an error record (scenario label "request <line>", no pes or scheduler)
 // and makes the sweep exit 1; the other lines are still served.
-// `--repeat K` submits the list K times (duplicates deduplicate against the
-// service cache, demonstrating single-flight); results are emitted once.
+// `--repeat K` submits the list K times (duplicates shard onto the worker
+// that computed them and hit its cache); results are emitted once.
 //
 // Example graph file:
 //   node 0 source src

@@ -21,8 +21,7 @@ struct Rejected {
 };
 
 /// A settled scheduling computation, carried across threads as a plain
-/// value: ScheduleCache hands it to the callers that joined an in-flight
-/// computation, and every backend settles its futures with it. At most one
+/// value: every backend settles its futures with it. At most one
 /// of `result` (success), `error` (failure detail) or `rejected` (a typed
 /// admission refusal that arrived asynchronously, as from a remote server) is
 /// populated.

@@ -59,7 +59,6 @@ constexpr void for_each_stats_counter(Visit&& visit, Stats&... stats) {
   visit("cache_races", stats.cache.races...);
   visit("cache_evictions", stats.cache.evictions...);
   visit("cache_evicted_weight", stats.cache.evicted_weight...);
-  visit("cache_expired", stats.cache.expired...);
   visit("partition_hits", stats.subgraph.partition_hits...);
   visit("partition_misses", stats.subgraph.partition_misses...);
   visit("fragments_assembled", stats.subgraph.fragments_assembled...);

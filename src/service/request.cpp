@@ -137,6 +137,22 @@ std::string ScheduleRequest::key_digest() const {
   return out;
 }
 
+std::optional<std::uint64_t> parse_key_digest(std::string_view digest) {
+  if (digest.size() != 16) return std::nullopt;
+  std::uint64_t hash = 0;
+  for (const char c : digest) {
+    hash <<= 4;
+    if (c >= '0' && c <= '9') {
+      hash |= static_cast<std::uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      hash |= static_cast<std::uint64_t>(c - 'a' + 10);
+    } else {
+      return std::nullopt;
+    }
+  }
+  return hash;
+}
+
 std::string ScheduleRequest::to_json() const {
   std::string out;
   out.reserve(128 + (graph_ref ? 0 : 40 * graph.node_count() + 24 * graph.edge_count()));

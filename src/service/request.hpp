@@ -118,9 +118,9 @@ struct ScheduleRequest {
 
   /// fnv1a64(key()), computed once beside the key memo. The one hash every
   /// serving layer uses for this request: ShardRouter routing, the
-  /// service's shard pick, and ScheduleCache's probes and in-flight table —
-  /// so a 10^5-node request's multi-megabyte key is hashed once, not once
-  /// per layer. Computes key() first if needed; dropped with the key memo.
+  /// service's shard pick, and ScheduleCache's probes — so a 10^5-node
+  /// request's multi-megabyte key is hashed once, not once per layer.
+  /// Computes key() first if needed; dropped with the key memo.
   [[nodiscard]] std::uint64_t key_hash() const;
 
   /// Moves the (possibly multi-megabyte) key out of the memo, computing it
@@ -131,8 +131,9 @@ struct ScheduleRequest {
 
   /// key_hash() as 16 lowercase hex digits: the compact request identity
   /// delta requests name in `base_key`. A ShardRouter routes a delta by
-  /// parsing this digest back into the hash, so it lands where its base
-  /// request was routed. Costs no pass over the key once key() is memoized.
+  /// reading this digest back into the hash (parse_key_digest), so it lands
+  /// where its base request was routed. Costs no pass over the key once
+  /// key() is memoized.
   [[nodiscard]] std::string key_digest() const;
 
   /// Drops the key() memo. Must be called after mutating any key-relevant
@@ -168,6 +169,10 @@ struct ScheduleRequest {
   };
   mutable MemoizedKey key_;  ///< memoized by key()
 };
+
+/// The key_hash() a ScheduleRequest::key_digest() was written from, or
+/// nullopt unless `digest` is exactly 16 lowercase hex digits.
+[[nodiscard]] std::optional<std::uint64_t> parse_key_digest(std::string_view digest);
 
 /// Unified resolved outcome of a submitted request: exactly one of a shared
 /// immutable result, a typed admission refusal, or an error detail (the

@@ -16,7 +16,7 @@
 namespace sts {
 
 ScheduleService::ScheduleService(ServiceConfig config)
-    : cache_(config.cache_capacity, config.cache_ttl),
+    : cache_(config.cache_capacity),
       queue_depth_(config.queue_depth),
       intra_threads_(config.intra_threads),
       bases_(config.base_registry_capacity) {

@@ -6,7 +6,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,11 +45,6 @@ struct ServiceConfig {
   /// request keys or cache hits.
   std::int64_t intra_threads = 1;
 
-  /// Optional per-entry time-to-live for the service-owned ScheduleCache:
-  /// a cached result older than this reads as a miss and is recomputed
-  /// (counted in the `cache_expired` stat). nullopt = results never age out.
-  std::optional<std::chrono::nanoseconds> cache_ttl;
-
   /// Total-weight capacity of the per-partition fragment cache (SubgraphCache;
   /// entries weigh their partition's node count). 0 disables subgraph
   /// memoization entirely — workers fall back to whole-graph scheduling, the
@@ -70,12 +64,15 @@ struct ServiceConfig {
 ///
 /// Each request is keyed by `ScheduleRequest::key()` and sharded to the
 /// worker `key_hash() % num_workers`, so identical scenarios land on the
-/// same queue in order; together with the cache's single-flight miss path
-/// this guarantees that N concurrent submissions of the same scenario run
-/// the scheduling pipeline exactly once and share one immutable result.
-/// Distinct scenarios spread across workers and schedule in parallel. The
-/// same keying is what ShardRouter consistent-hashes across several
-/// services — this class is the single-process backend of that seam.
+/// same queue in order and one worker computes each key: N concurrent
+/// submissions of the same scenario run the scheduling pipeline exactly
+/// once, and every later one finds that immutable result in the cache (on
+/// the `submit` fast path or at the worker). The cache only memoizes; the
+/// sharding is what makes the computation happen once, so the cache's
+/// `races` stays 0 here. Distinct scenarios spread across workers and
+/// schedule in parallel. The same keying is what ShardRouter
+/// consistent-hashes across several services — this class is the
+/// single-process backend of that seam.
 ///
 /// Requests whose result is already cached complete synchronously inside
 /// `submit` (the returned future is immediately ready) without touching a
@@ -155,7 +152,7 @@ class ScheduleService : public ScheduleBackend {
 
   /// Breaking-shape version of the stats_json() document. Bumped when a key
   /// is removed or changes meaning — additions don't count.
-  static constexpr std::uint64_t kStatsSchemaVersion = 2;
+  static constexpr std::uint64_t kStatsSchemaVersion = 3;
 
   /// Renders one Stats snapshot plus sizing knobs in the stats_json() shape
   /// — `stats_json()` is `render_stats_json(stats(), ...)`, and ShardRouter

@@ -11,11 +11,10 @@
 #include "service/backend.hpp"
 #include "service/request.hpp"
 #include "service/schedule_service.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace sts {
 
-/// Sizing knobs of a ShardRouter.
+/// Sizing knobs of a ShardRouter, read once at construction.
 struct RouterConfig {
   /// Number of backends to own. Must be >= 1.
   std::size_t num_backends = 2;
@@ -33,8 +32,8 @@ struct RouterConfig {
   /// backend is an in-process `ScheduleService(backend)`; set, the router
   /// can mix in-process services, `RemoteBackend`s speaking to `sts-serve`
   /// processes, and test doubles — routing, stats aggregation, and drain
-  /// are identical either way. Called during construction and whenever
-  /// `set_backend_count` grows the pool; must not return nullptr.
+  /// are identical either way. Called once per index during construction;
+  /// must not return nullptr.
   std::function<std::shared_ptr<ScheduleBackend>(std::size_t index)> backend_factory;
 };
 
@@ -50,26 +49,22 @@ struct RouterConfig {
 /// Routing: each backend owns `virtual_nodes` points on a 64-bit ring,
 /// placed at `fnv1a64("backend <i> vnode <j>")`; a request routes to the
 /// owner of the first ring point at or after `request.key_hash()`
-/// (wrapping). Identical requests therefore always land on the same backend
-/// (whose own key-sharding then serializes them onto one worker and
-/// single-flights the computation), and resizing from N to N+1 backends
-/// only moves the keys now owned by the new backend — every other key keeps
-/// its backend and its warm cache.
+/// (wrapping), and a delta request by the hash its `base_key` digest names.
+/// Identical requests therefore always land on the same backend, whose own
+/// key-sharding then computes each of them once. A router over N+1
+/// backends sends a key elsewhere than a router over N only when the added
+/// backend claims it, so growing a fleet keeps every other key's backend and
+/// its warm cache.
 ///
 /// `submit` forwards the envelope and annotates a `Rejected` outcome with
-/// the backend index. `stats()` / `stats_json()` aggregate across backends
-/// (including backends already retired by `set_backend_count`, so totals
-/// stay monotonic); `drain(i)` waits out one backend, e.g. before retiring
-/// it.
+/// the backend index. `stats()` / `stats_json()` aggregate across backends.
 ///
-/// Concurrency: the router lock only covers the routing decision, never a
-/// backend call — a submit blocked on backpressure therefore cannot stall
-/// routing to other backends or a concurrent `set_backend_count`. Backends
-/// are shared-owned, so a submit racing a shrink completes safely on the
-/// retiring backend (its future resolves; counters it adds after the
-/// retirement snapshot are not folded into the totals).
+/// Concurrency: the ring and the backends are fixed at construction, so
+/// routing takes no lock and every method may be called from any thread; a
+/// submit blocked on one backend's backpressure never stalls the others.
 class ShardRouter {
  public:
+  /// Throws std::invalid_argument on zero backends or virtual nodes.
   explicit ShardRouter(RouterConfig config = {});
 
   ShardRouter(const ShardRouter&) = delete;
@@ -80,58 +75,45 @@ class ShardRouter {
   /// the backend index in `rejected->backend` (a rejection a remote backend
   /// delivers asynchronously through the settled future keeps whatever the
   /// server recorded — the router never sees it).
-  [[nodiscard]] ServiceAdmission submit(ScheduleRequest request) EXCLUDES(mutex_);
+  [[nodiscard]] ServiceAdmission submit(ScheduleRequest request);
 
   /// Synchronous convenience: `submit(request).wait()`.
-  [[nodiscard]] ScheduleResponse schedule(ScheduleRequest request) EXCLUDES(mutex_);
+  [[nodiscard]] ScheduleResponse schedule(ScheduleRequest request);
 
   /// The backend a request (or a raw request key) routes to. Deterministic:
-  /// depends only on the key and the current backend count / ring layout.
-  [[nodiscard]] std::size_t backend_for(const ScheduleRequest& request) const
-      EXCLUDES(mutex_);
-  [[nodiscard]] std::size_t backend_for_key(std::string_view key) const EXCLUDES(mutex_);
+  /// depends only on the key and the backend count / ring layout.
+  [[nodiscard]] std::size_t backend_for(const ScheduleRequest& request) const;
+  [[nodiscard]] std::size_t backend_for_key(std::string_view key) const;
 
-  [[nodiscard]] std::size_t backend_count() const EXCLUDES(mutex_);
+  [[nodiscard]] std::size_t backend_count() const noexcept { return backends_.size(); }
 
   /// Direct access to one backend through the seam (tests, per-backend
-  /// stats inspection). The reference is invalidated by set_backend_count.
-  [[nodiscard]] ScheduleBackend& backend(std::size_t index) EXCLUDES(mutex_);
+  /// stats inspection).
+  [[nodiscard]] ScheduleBackend& backend(std::size_t index);
 
   /// `backend(index)` downcast to the in-process service (tests, cache
   /// inspection). Throws std::invalid_argument when that backend is not a
   /// ScheduleService (e.g. a RemoteBackend — its cache lives in another
   /// process).
-  [[nodiscard]] ScheduleService& local_backend(std::size_t index) EXCLUDES(mutex_);
-
-  /// Rebalances to `count` backends. Growing adds fresh services (cold
-  /// caches) and moves only the keys the new ring points claim; shrinking
-  /// drains each retired backend, folds its counters into the retired
-  /// totals, and destroys it (its cached entries are recomputed on their
-  /// new backends on demand). Blocks until in-flight work on retired
-  /// backends finishes. Throws std::invalid_argument on zero.
-  void set_backend_count(std::size_t count) EXCLUDES(mutex_);
-
-  /// Blocks until every job accepted by backend `index` has completed.
-  void drain(std::size_t index) EXCLUDES(mutex_);
+  [[nodiscard]] ScheduleService& local_backend(std::size_t index);
 
   /// Blocks until every backend is idle.
-  void wait_idle() EXCLUDES(mutex_);
+  void wait_idle();
 
   struct Stats {
-    ServiceStats total;  ///< Σ over live + retired backends;
-                         ///< shard_max_depth concatenated over
-                         ///< live backends in index order
-    std::vector<ServiceStats> backends;  ///< per live backend
+    ServiceStats total;  ///< Σ over backends; shard_max_depth
+                         ///< concatenated in backend index order
+    std::vector<ServiceStats> backends;  ///< per backend
   };
-  [[nodiscard]] Stats stats() const EXCLUDES(mutex_);
+  [[nodiscard]] Stats stats() const;
 
   /// Aggregate stats in the flat BENCH_*.json shape of
   /// ScheduleService::stats_json (including `schema_version` and the
-  /// router's own `uptime_seconds`), plus `backends` (live count) and a
-  /// `per_backend` array of each live backend's own stats document — each
-  /// from one `stats_snapshot()`, so the totals always equal the sum of the
+  /// router's own `uptime_seconds`), plus `backends` (the count) and a
+  /// `per_backend` array of each backend's own stats document — each from
+  /// one `stats_snapshot()`, so the totals always equal the sum of the
   /// per_backend objects in the same document.
-  [[nodiscard]] std::string stats_json() const EXCLUDES(mutex_);
+  [[nodiscard]] std::string stats_json() const;
 
   /// Seconds since this router was constructed (monotonic clock).
   [[nodiscard]] double uptime_seconds() const;
@@ -142,26 +124,14 @@ class ShardRouter {
     std::uint32_t backend = 0;
   };
 
-  [[nodiscard]] std::size_t backend_for_hash_locked(std::uint64_t hash) const
-      REQUIRES_SHARED(mutex_);
-  void rebuild_ring_locked() REQUIRES(mutex_);
+  /// `virtual_nodes` points per backend, sorted by (hash, backend). Throws
+  /// std::invalid_argument when either count is zero.
+  [[nodiscard]] static std::vector<RingPoint> make_ring(std::size_t backends,
+                                                        std::size_t virtual_nodes);
+  [[nodiscard]] std::size_t backend_for_hash(std::uint64_t hash) const;
 
-  /// config_.backend_factory(index), or a fresh in-process service.
-  [[nodiscard]] std::shared_ptr<ScheduleBackend> make_backend_locked(std::size_t index)
-      REQUIRES(mutex_);
-
-  // Takes the shared lock itself; callers operate on the returned snapshot
-  // with the lock released, so blocking backend calls never pin it.
-  [[nodiscard]] std::vector<std::shared_ptr<ScheduleBackend>> snapshot_backends() const
-      EXCLUDES(mutex_);
-
-  mutable SharedMutex mutex_;
-  RouterConfig config_ GUARDED_BY(mutex_);
-  std::vector<std::shared_ptr<ScheduleBackend>> backends_ GUARDED_BY(mutex_);
-  /// Sorted by (hash, backend).
-  std::vector<RingPoint> ring_ GUARDED_BY(mutex_);
-  /// Counters of destroyed backends.
-  ServiceStats retired_ GUARDED_BY(mutex_);
+  const std::vector<RingPoint> ring_;
+  const std::vector<std::shared_ptr<ScheduleBackend>> backends_;
   const std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
 };
 

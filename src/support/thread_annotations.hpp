@@ -2,13 +2,12 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 /// Clang Thread Safety Analysis attribute macros plus annotated lock shims.
 ///
 /// Every mutex-holding component in the serving stack (ScheduleCache,
-/// SubgraphCache, PartitionCanonMemo, ScheduleService, ShardRouter, TaskPool,
-/// TaskGraph's CSR rebuild) declares which members each lock protects
+/// SubgraphCache, PartitionCanonMemo, ScheduleService, TaskPool, TaskGraph's
+/// CSR rebuild) declares which members each lock protects
 /// (GUARDED_BY) and which capabilities each method needs (REQUIRES) or takes
 /// (ACQUIRE/RELEASE/EXCLUDES), so lock discipline is a *compile-time*
 /// property: `-DSTS_THREAD_SAFETY_ANALYSIS=ON` builds with
@@ -38,23 +37,11 @@
 #define ACQUIRED_BEFORE(...) STS_THREAD_ANNOTATION_ATTRIBUTE(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) STS_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
 #define REQUIRES(...) STS_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
 #define ACQUIRE(...) STS_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) STS_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) STS_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) STS_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
 #define ASSERT_CAPABILITY(x) STS_THREAD_ANNOTATION_ATTRIBUTE(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  STS_THREAD_ANNOTATION_ATTRIBUTE(assert_shared_capability(x))
 #define RETURN_CAPABILITY(x) STS_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
 #define NO_THREAD_SAFETY_ANALYSIS STS_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
@@ -80,27 +67,11 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mutex_;
 };
 
-/// std::shared_mutex with the `capability` attribute (reader/writer lock).
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { mutex_.lock(); }
-  void unlock() RELEASE() { mutex_.unlock(); }
-  void lock_shared() ACQUIRE_SHARED() { mutex_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mutex_.unlock_shared(); }
-
- private:
-  std::shared_mutex mutex_;
-};
-
 /// RAII exclusive lock over Mutex (std::lock_guard replacement) that the
-/// analysis tracks as a scoped capability. Supports early release and
-/// re-acquisition for the few paths (admission rejection, single-flight
-/// compute) that must drop the lock mid-scope — the analysis still verifies
-/// every guarded access against the current lock state.
+/// analysis tracks as a scoped capability. Supports early release for the
+/// path (admission rejection) that must drop the lock mid-scope — the
+/// analysis still verifies every guarded access against the current lock
+/// state.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) ACQUIRE(mutex) : mutex_(mutex), held_(true) {
@@ -117,43 +88,10 @@ class SCOPED_CAPABILITY MutexLock {
     held_ = false;
     mutex_.unlock();
   }
-  /// Re-acquisition after an early unlock().
-  void lock() ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
 
  private:
   Mutex& mutex_;
   bool held_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& mutex) ACQUIRE_SHARED(mutex) : mutex_(mutex) {
-    mutex_.lock_shared();
-  }
-  ~SharedLock() RELEASE_GENERIC() { mutex_.unlock_shared(); }
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  SharedMutex& mutex_;
-};
-
-/// RAII exclusive (writer) lock over SharedMutex.
-class SCOPED_CAPABILITY ExclusiveLock {
- public:
-  explicit ExclusiveLock(SharedMutex& mutex) ACQUIRE(mutex) : mutex_(mutex) {
-    mutex_.lock();
-  }
-  ~ExclusiveLock() RELEASE_GENERIC() { mutex_.unlock(); }
-  ExclusiveLock(const ExclusiveLock&) = delete;
-  ExclusiveLock& operator=(const ExclusiveLock&) = delete;
-
- private:
-  SharedMutex& mutex_;
 };
 
 /// Condition variable waiting on an annotated Mutex. wait() REQUIRES the

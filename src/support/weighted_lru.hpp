@@ -70,21 +70,6 @@ class WeightedLru {
     return {&entries_.front().value, evict_to_capacity()};
   }
 
-  /// Drops the entry under (hash, key); false when absent.
-  template <typename Q>
-  bool erase(std::uint64_t hash, const Q& key) {
-    const auto slot = find_slot(hash, key);
-    if (slot == index_.end()) return false;
-    remove(slot->second);
-    return true;
-  }
-
-  /// Re-bounds the total weight, evicting the coldest entries past it.
-  Evicted set_capacity(std::size_t capacity) {
-    capacity_ = capacity;
-    return evict_to_capacity();
-  }
-
   void clear() {
     entries_.clear();
     index_.clear();

@@ -352,31 +352,5 @@ TEST(ParallelRequestEnvelope, MachineRejectsNegativeLanes) {
                std::invalid_argument);
 }
 
-TEST(ParallelRequestEnvelope, ServiceTtlExpiresCachedResults) {
-  ServiceConfig config;
-  config.num_workers = 1;
-  config.cache_ttl = std::chrono::nanoseconds{0};
-  ScheduleService service(config);
-  ScheduleRequest request;
-  request.graph = testing::figure8_graph();
-  request.scheduler = "streaming-rlx";
-  request.machine.num_pes = 4;
-
-  const ScheduleResponse first = service.schedule(request);
-  ASSERT_TRUE(first.ok());
-  const ScheduleResponse second = service.schedule(request);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(result_fingerprint(*first.result), result_fingerprint(*second.result));
-
-  const ScheduleService::Stats stats = service.stats();
-  EXPECT_EQ(stats.cache.misses, 2u) << "a zero ttl must force recomputation";
-  // One entry dropped by the second submission's probe, plus the second
-  // result which (zero ttl) is already expired-but-resident at the snapshot
-  // — stats() reports both so it always agrees with lookup behavior.
-  EXPECT_EQ(stats.cache.expired, 2u);
-  EXPECT_EQ(stats.fast_path_hits, 0u);
-  EXPECT_NE(service.stats_json().find("\"cache_expired\": 2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace sts

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -261,6 +262,26 @@ TEST(ScheduleRequestJson, KeyExcludesDeliveryHints) {
   ScheduleRequest c = a;
   c.machine.num_pes = a.machine.num_pes + 1;
   EXPECT_NE(a.key(), c.key());
+}
+
+// key_digest() and parse_key_digest() are the two halves of one format: a
+// delta names its base by the digest and the router reads the base's routing
+// hash back out of it.
+TEST(ScheduleRequestDigest, ParsesBackToTheKeyHash) {
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const ScheduleRequest request = fuzz_request(static_cast<int>(seed % 4), seed);
+    EXPECT_EQ(parse_key_digest(request.key_digest()), request.key_hash()) << "seed " << seed;
+  }
+  EXPECT_EQ(parse_key_digest("0123456789abcdef"), 0x0123456789abcdefULL);
+  EXPECT_EQ(parse_key_digest("ffffffffffffffff"), std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ScheduleRequestDigest, RefusesAnythingButSixteenLowercaseHexDigits) {
+  for (const char* bad : {"0123456789ABCDEF", "0123456789abcdeF", "0123456789abcde",
+                          "0123456789abcdef0", "0123456789abcdeg", "0123456789abcd-f",
+                          " 123456789abcdef", ""}) {
+    EXPECT_EQ(parse_key_digest(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(JsonParser, RejectsStructuralGarbage) {

@@ -4,9 +4,11 @@
 
 #include <chrono>
 #include <future>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "paper_examples.hpp"
@@ -105,12 +107,58 @@ TEST(ScheduleService, DuplicateSubmissionsComputeOnce) {
   }
   service.wait_idle();
 
-  // Single-flight: exactly one schedule computed; every other submission was
-  // a cache hit (fast path or worker) or joined the in-flight computation.
+  // Key sharding: one worker computes the scenario once; every other
+  // submission is a cache hit, on the submit fast path or at that worker.
   const ScheduleService::Stats stats = service.stats();
   EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.races, static_cast<std::uint64_t>(kCopies - 1));
+  EXPECT_EQ(stats.cache.hits, static_cast<std::uint64_t>(kCopies - 1));
+  EXPECT_EQ(stats.cache.races, 0u);
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kCopies));
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+// The exactly-once guarantee under concurrent submitters: 8 threads racing
+// the same 3 scenarios into a 4-worker service. Each scenario shards onto one
+// worker, so it is computed once, no cache insert ever races, and every
+// submitter receives one shared result per scenario.
+TEST(ScheduleService, ConcurrentSubmittersComputeEachScenarioOnce) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRepeats = 16;
+  ScheduleService service(ServiceConfig{4, 4096});
+  const std::vector<TaskGraph> graphs = {make_chain(8, 1), make_fft(8, 2), make_cholesky(4, 3)};
+
+  std::vector<std::vector<ScheduleService::Future>> futures(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> submitters;
+  submitters.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&service, &graphs, &start, &mine = futures[t]] {
+      start.arrive_and_wait();
+      for (std::size_t r = 0; r < kRepeats; ++r) {
+        for (const TaskGraph& graph : graphs) {
+          mine.push_back(service.submit(request_for(graph, "streaming-rlx", 4)).future);
+        }
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+
+  std::vector<ScheduleService::ResultPtr> shared(graphs.size());
+  for (std::vector<ScheduleService::Future>& mine : futures) {
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const ScheduleService::ResultPtr result = mine[i].get();
+      ScheduleService::ResultPtr& first = shared[i % graphs.size()];
+      if (first == nullptr) first = result;
+      EXPECT_EQ(result, first) << "scenario " << i % graphs.size() << ": one shared result";
+    }
+  }
+  EXPECT_EQ(std::set<ScheduleService::ResultPtr>(shared.begin(), shared.end()).size(),
+            graphs.size());
+  service.wait_idle();
+  const ScheduleService::Stats stats = service.stats();
+  EXPECT_EQ(stats.cache.misses, graphs.size());
+  EXPECT_EQ(stats.cache.races, 0u);
+  EXPECT_EQ(stats.cache.hits, kThreads * kRepeats * graphs.size() - graphs.size());
   EXPECT_EQ(stats.failed, 0u);
 }
 

@@ -1,9 +1,9 @@
 // ShardRouter coverage: deterministic consistent-hash routing, aggregate
-// stats invariants across backends, the consistent-hashing rebalance
-// property (growing the pool only moves keys to the new backend; shrinking
-// only moves keys off the retired one), and backend-annotated rejections
-// (made deterministic with a latch-gated scheduler that parks a backend's
-// single worker).
+// stats invariants across backends, exactly-once computation under
+// concurrent submitters, the consistent-hashing property (a router over one
+// more backend only moves keys to that backend), and backend-annotated
+// rejections (made deterministic with a latch-gated scheduler that parks a
+// backend's single worker).
 
 #include "service/shard_router.hpp"
 
@@ -13,10 +13,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pipeline/passes.hpp"
@@ -50,8 +52,6 @@ TEST(ShardRouter, RejectsDegenerateConfigs) {
   RouterConfig zero_vnodes = router_config(1);
   zero_vnodes.virtual_nodes = 0;
   EXPECT_THROW(ShardRouter{zero_vnodes}, std::invalid_argument);
-  ShardRouter router(router_config(1));
-  EXPECT_THROW(router.set_backend_count(0), std::invalid_argument);
 }
 
 TEST(ShardRouter, RoutingIsDeterministicAndCoversAllBackends) {
@@ -115,13 +115,59 @@ TEST(ShardRouter, AggregateStatsSumOverBackends) {
   EXPECT_EQ(stats.total.failed, 0u);
   EXPECT_EQ(stats.total.cache.misses, kScenarios)
       << "each unique scenario schedules exactly once across the fleet";
-  EXPECT_EQ(stats.total.cache.hits + stats.total.cache.races, kScenarios);
+  EXPECT_EQ(stats.total.cache.hits, kScenarios);
+  EXPECT_EQ(stats.total.cache.races, 0u);
 
   const std::string json = router.stats_json();
   EXPECT_NE(json.find("\"backends\": 4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"submitted\": " + std::to_string(2 * kScenarios)), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"per_backend\": [{"), std::string::npos) << json;
+}
+
+// Exactly-once computation comes from key sharding: every submission of one
+// scenario routes to one backend and, there, to one worker. 8 threads racing
+// the same 3 scenarios therefore compute each once, never race in a cache,
+// and all receive one shared result per scenario.
+TEST(ShardRouter, ConcurrentSubmittersComputeEachScenarioOnce) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRepeats = 16;
+  constexpr std::uint64_t kScenarios = 3;
+  ShardRouter router(router_config(4));
+
+  std::vector<std::vector<ScheduleService::Future>> futures(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> submitters;
+  submitters.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&router, &start, &mine = futures[t]] {
+      start.arrive_and_wait();
+      for (std::size_t r = 0; r < kRepeats; ++r) {
+        for (std::uint64_t seed = 1; seed <= kScenarios; ++seed) {
+          mine.push_back(router.submit(chain_request(6, seed)).future);
+        }
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+
+  std::vector<ScheduleService::ResultPtr> shared(kScenarios);
+  for (std::vector<ScheduleService::Future>& mine : futures) {
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const ScheduleService::ResultPtr result = mine[i].get();
+      ScheduleService::ResultPtr& first = shared[i % kScenarios];
+      if (first == nullptr) first = result;
+      EXPECT_EQ(result, first) << "scenario " << i % kScenarios << ": one shared result";
+    }
+  }
+  EXPECT_EQ(std::set<ScheduleService::ResultPtr>(shared.begin(), shared.end()).size(),
+            kScenarios);
+  router.wait_idle();
+  const ShardRouter::Stats stats = router.stats();
+  EXPECT_EQ(stats.total.cache.misses, kScenarios);
+  EXPECT_EQ(stats.total.cache.races, 0u);
+  EXPECT_EQ(stats.total.cache.hits, kThreads * kRepeats * kScenarios - kScenarios);
+  EXPECT_EQ(stats.total.failed, 0u);
 }
 
 TEST(ShardRouter, GrowingThePoolOnlyMovesKeysToTheNewBackend) {
@@ -143,49 +189,6 @@ TEST(ShardRouter, GrowingThePoolOnlyMovesKeysToTheNewBackend) {
   EXPECT_GT(moved, 0u) << "the new backend must take over part of the key space";
   EXPECT_LT(moved, kKeys / 2)
       << "consistent hashing moves ~1/N of the keys, not a wholesale reshuffle";
-}
-
-TEST(ShardRouter, SetBackendCountRebalancesLive) {
-  ShardRouter router(router_config(2));
-  std::vector<std::size_t> before;
-  constexpr std::uint64_t kKeys = 100;
-  for (std::uint64_t seed = 1; seed <= kKeys; ++seed) {
-    before.push_back(router.backend_for(chain_request(6, seed)));
-  }
-
-  router.set_backend_count(3);
-  EXPECT_EQ(router.backend_count(), 3u);
-  for (std::uint64_t seed = 1; seed <= kKeys; ++seed) {
-    const std::size_t now = router.backend_for(chain_request(6, seed));
-    if (now != before[seed - 1]) EXPECT_EQ(now, 2u);
-  }
-
-  // Shrinking back: only the retired backend's keys move (to survivors).
-  router.set_backend_count(2);
-  for (std::uint64_t seed = 1; seed <= kKeys; ++seed) {
-    EXPECT_EQ(router.backend_for(chain_request(6, seed)), before[seed - 1])
-        << "the ring of the surviving backends is unchanged";
-  }
-}
-
-TEST(ShardRouter, RetiredBackendCountersFoldIntoTotals) {
-  ShardRouter router(router_config(3));
-  std::vector<ScheduleService::Future> futures;
-  for (std::uint64_t seed = 1; seed <= 18; ++seed) {
-    futures.push_back(router.submit(chain_request(6, seed)).future);
-  }
-  for (auto& f : futures) EXPECT_GT(f.get()->makespan, 0);
-  router.wait_idle();
-  const std::uint64_t submitted_before = router.stats().total.submitted;
-
-  router.set_backend_count(1);  // drains + retires two backends
-  EXPECT_EQ(router.stats().total.submitted, submitted_before)
-      << "aggregate counters stay monotonic across retirement";
-
-  // The shrunken router still serves.
-  EXPECT_GT(router.submit(chain_request(6, 99)).future.get()->makespan, 0);
-  router.wait_idle();
-  EXPECT_EQ(router.stats().total.submitted, submitted_before + 1);
 }
 
 // ---------------------------------------------------------- rejected routing

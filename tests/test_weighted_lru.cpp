@@ -35,14 +35,9 @@ TEST(WeightedLru, KeysSharingAHashStayApart) {
   EXPECT_EQ(*lru.find(kForcedHash, std::string_view("a")), 1);
   EXPECT_EQ(*lru.find(kForcedHash, std::string_view("b")), 2);
   EXPECT_EQ(lru.find(kForcedHash, std::string_view("c")), nullptr);
-
-  EXPECT_TRUE(lru.erase(kForcedHash, std::string_view("a")));
-  EXPECT_FALSE(lru.erase(kForcedHash, std::string_view("a")));
-  EXPECT_EQ(lru.peek(kForcedHash, std::string_view("a")), nullptr);
   ASSERT_NE(lru.peek(kForcedHash, std::string_view("b")), nullptr);
   EXPECT_EQ(*lru.peek(kForcedHash, std::string_view("b")), 2);
-  EXPECT_EQ(lru.size(), 1u);
-  EXPECT_EQ(lru.total_weight(), 1u);
+  EXPECT_EQ(lru.total_weight(), 2u);
 
   // Tuple keys (the fragment cache's (context, form)) probe through a tuple
   // of references and are matched on every element.
@@ -103,13 +98,7 @@ TEST(WeightedLru, EvictsColdestFirstAndReportsWhatItDropped) {
   EXPECT_EQ(inserted.evicted.weight, 6u);
   EXPECT_EQ(values_by_recency(lru), (std::vector<int>{4, 1}));
   EXPECT_EQ(lru.total_weight(), 8u);
-
-  // Shrinking the capacity evicts coldest-first too.
-  const Lru::Evicted shrunk = lru.set_capacity(5);
-  EXPECT_EQ(shrunk.count, 1u);
-  EXPECT_EQ(shrunk.weight, 3u);
-  EXPECT_EQ(values_by_recency(lru), std::vector<int>{4});
-  EXPECT_EQ(lru.capacity(), 5u);
+  EXPECT_EQ(lru.capacity(), 10u);
 }
 
 TEST(WeightedLru, UnitWeightsMakeACountBoundedLru) {

@@ -10,11 +10,14 @@ violation. Enforced rules:
     digest) — results are bit-identical at every lane count, so letting it
     into a key would silently split the cache.
 
- 2. Every counter in the stats list (`for_each_stats_counter` in
-    src/service/backend.hpp, which drives rendering, parsing and summing of
-    the /stats document) has a row in the README stats table: a counter
-    missing from the README is invisible to operators. (The build checks
-    the list itself against the Stats structs.)
+ 2. The README stats table (headed `| counter | meaning |`) and the stats
+    list (`for_each_stats_counter` in src/service/backend.hpp, which drives
+    rendering, parsing and summing of the /stats document) agree both ways:
+    every listed counter has a row, since a counter missing from the README
+    is invisible to operators, and every row names a listed counter or one
+    of the document's gauges (STATS_TABLE_GAUGES), since a row left behind
+    by a deleted counter documents a key the document no longer carries.
+    (The build checks the list itself against the Stats structs.)
 
  3. `sim/sim_internal.hpp` is private to src/sim/ — the simulator's internal
     event structures are not a public seam.
@@ -120,6 +123,27 @@ def check_intra_threads_out_of_keys(errors: list[str]) -> None:
                 )
 
 
+# Rows of the README stats table that are gauges of the stats document
+# itself, not counters of the stats list.
+STATS_TABLE_GAUGES = {"schema_version", "uptime_seconds"}
+
+
+def stats_table_rows() -> list[str] | None:
+    """The names in the first column of the README stats table, in order, or
+    None when no table is headed `| counter | meaning |`."""
+    lines = README.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if re.match(r"\s*\|\s*counter\s*\|\s*meaning\s*\|", line):
+            rows = []
+            for row in lines[i + 1 :]:
+                if not row.lstrip().startswith("|"):
+                    break
+                if match := re.match(r"\s*\|\s*`(\w+)`\s*\|", row):
+                    rows.append(match.group(1))
+            return rows
+    return None
+
+
 def check_stats_documented(errors: list[str]) -> None:
     list_path = SRC / "service" / "backend.hpp"
     counters: list[str] = []
@@ -128,17 +152,23 @@ def check_stats_documented(errors: list[str]) -> None:
     if not counters:
         fail(errors, f"{list_path.relative_to(REPO)}: for_each_stats_counter() not found")
         return
-    documented = {
-        match.group(1)
-        for line in README.read_text().splitlines()
-        if (match := re.match(r"\s*\|\s*`(\w+)`\s*\|", line))
-    }
+    rows = stats_table_rows()
+    if rows is None:
+        fail(errors, "README.md: no stats table headed `| counter | meaning |`")
+        return
     for counter in counters:
-        if counter not in documented:
+        if counter not in rows:
             fail(
                 errors,
                 f"{list_path.relative_to(REPO)}: stats counter `{counter}` is missing "
                 "from the README stats table",
+            )
+    for row in rows:
+        if row not in counters and row not in STATS_TABLE_GAUGES:
+            fail(
+                errors,
+                f"README.md: stats table row `{row}` names no counter of "
+                "for_each_stats_counter and no document gauge",
             )
 
 
