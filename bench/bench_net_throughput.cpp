@@ -187,7 +187,7 @@ int main() {
     }
     server.drain();  // races the in-flight stream on purpose
     for (ServiceFuture& future : futures) {
-      const Settled settled = future.settled();
+      const ScheduleResponse settled = future.response();
       if (settled.result != nullptr) {
         ++drain_ok_count;
       } else {
@@ -225,7 +225,7 @@ int main() {
     sigterm_exit = child.terminate();  // SIGTERM races the stream
     std::size_t settled_count = 0;
     for (ServiceFuture& future : futures) {
-      const Settled settled = future.settled();
+      const ScheduleResponse settled = future.response();
       if (settled.result != nullptr || !settled.error.empty() || settled.rejected.has_value()) {
         ++settled_count;
       }

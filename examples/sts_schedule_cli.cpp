@@ -6,15 +6,13 @@
 // Usage:
 //   sts_schedule_cli <graph-file|-> [--pes N] [--scheduler <name>]
 //                    [--variant lts|rlx|work] [--format table|gantt|json|dot]
-//                    [--simulate] [--sim-engine bulk|tick] [--timings] [--cached]
+//                    [--simulate] [--sim-engine bulk|tick] [--timings]
 //   sts_schedule_cli sweep <scenario-file|-> [--threads N] [--cache-capacity N]
 //                    [--repeat K] [--queue-depth N] [--backends N] [--spawn]
 //                    [--simulate] [--sim-engine bulk|tick] [--incremental]
 //   sts_schedule_cli --list-schedulers
 //
-// `--variant X` is shorthand for `--scheduler streaming-X`. `--cached` routes
-// the query through the global ScheduleCache (useful with repeated
-// invocations in one process; here it demonstrates the serving path).
+// `--variant X` is shorthand for `--scheduler streaming-X`.
 //
 // `sweep` schedules a whole scenario list in parallel through the serving
 // stack and emits a JSON array of ScheduleResponse records on stdout.
@@ -93,7 +91,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <graph-file|-> [--pes N] [--scheduler <name>] [--variant lts|rlx|work]"
                " [--format table|gantt|json|dot] [--simulate] [--sim-engine bulk|tick]"
-               " [--timings] [--cached]\n"
+               " [--timings]\n"
                "       "
             << argv0
             << " sweep <scenario-file|-> [--threads N] [--cache-capacity N] [--repeat K]\n"
@@ -373,13 +371,8 @@ int run_sweep(int argc, char** argv) {
     // "scheduler" (from the result), so the prefix adds it only to a failed
     // request; a line that never parsed has no request, so no pes or
     // scheduler to report.
-    ScheduleResponse response;
-    if (s.error.empty()) {
-      response = admissions[i].wait();
-    } else {
-      response.status = ScheduleResponse::Status::kError;
-      response.error = s.error;
-    }
+    const ScheduleResponse response =
+        s.error.empty() ? admissions[i].wait() : ScheduleResponse::failure(s.error);
     any_failed = any_failed || !response.ok();
     std::string prefix = "{\"scenario\": ";
     append_json_quoted(prefix, s.label);
@@ -445,7 +438,6 @@ int main(int argc, char** argv) {
   std::string format = "table";
   bool simulate = false;
   bool timings = false;
-  bool cached = false;
   SimEngine sim_engine = SimEngine::kAuto;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -476,8 +468,6 @@ int main(int argc, char** argv) {
         simulate = true;
       } else if (arg == "--timings") {
         timings = true;
-      } else if (arg == "--cached") {
-        cached = true;
       } else if (arg == "--list-schedulers") {
         return list_schedulers();
       } else {
@@ -516,11 +506,7 @@ int main(int argc, char** argv) {
   machine.num_pes = pes;
   ScheduleResult result;
   try {
-    if (cached) {
-      result = *ScheduleCache::global().get_or_schedule(graph, scheduler, machine);
-    } else {
-      result = schedule_by_name(scheduler, graph, machine);
-    }
+    result = schedule_by_name(scheduler, graph, machine);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

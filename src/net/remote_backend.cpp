@@ -94,7 +94,7 @@ ServiceAdmission RemoteBackend::submit(ScheduleRequest request) {
   // Serialize on the caller's thread: the envelope (and its key memo) never
   // crosses into the client pool, only bytes do.
   std::string body = request.to_json();
-  std::promise<Settled> promise;
+  std::promise<ScheduleResponse> promise;
   ServiceFuture future(promise.get_future());
   bool rejected_late = false;
   {
@@ -139,7 +139,7 @@ void RemoteBackend::client_loop() {
   }
 }
 
-Settled RemoteBackend::perform(FdHandle& conn, const std::string& body) const {
+ScheduleResponse RemoteBackend::perform(FdHandle& conn, const std::string& body) const {
   const std::string wire = render_http_request("POST", "/v1/schedule", body);
   // One transparent retry on a fresh connection: a keep-alive peer may close
   // between requests, which only surfaces as a failed send/recv here.
@@ -161,32 +161,18 @@ Settled RemoteBackend::perform(FdHandle& conn, const std::string& body) const {
   return transport_error("request failed after reconnect");
 }
 
-Settled RemoteBackend::decode(const HttpResponse& response) const {
+ScheduleResponse RemoteBackend::decode(const HttpResponse& response) const {
   try {
-    ScheduleResponse envelope = ScheduleResponse::from_json(response.body);
-    switch (envelope.status) {
-      case ScheduleResponse::Status::kOk:
-        return Settled{std::move(envelope.result), {}, false, std::nullopt};
-      case ScheduleResponse::Status::kRejected:
-        return Settled{nullptr, {}, false, std::move(envelope.rejected)};
-      case ScheduleResponse::Status::kError:
-        return Settled{nullptr,
-                       envelope.error.empty() ? std::string("remote backend: server error")
-                                              : std::move(envelope.error),
-                       false, std::nullopt};
-    }
-    return transport_error("impossible response status");
+    return ScheduleResponse::from_json(response.body);
   } catch (const std::exception& e) {
     return transport_error("HTTP " + std::to_string(response.status) +
                            " with undecodable body: " + e.what());
   }
 }
 
-Settled RemoteBackend::transport_error(const std::string& detail) const {
-  return Settled{nullptr,
-                 "remote backend " + config_.host + ":" + std::to_string(config_.port) + ": " +
-                     detail,
-                 false, std::nullopt};
+ScheduleResponse RemoteBackend::transport_error(const std::string& detail) const {
+  return ScheduleResponse::failure("remote backend " + config_.host + ":" +
+                                   std::to_string(config_.port) + ": " + detail);
 }
 
 std::string RemoteBackend::fetch(const char* target) const {

@@ -49,11 +49,11 @@ struct RemoteConfig {
 /// server therefore settles every in-flight future instead of hanging
 /// wait_idle().
 ///
-/// Mapping of a server reply onto the settled outcome: HTTP 200 carrying
-/// `"status": "ok"` → result; any reply whose body decodes as the typed
-/// envelope uses that envelope's status ("rejected" → Settled::rejected,
-/// "error" → Settled::error) regardless of the HTTP code; an undecodable
-/// body is a transport error naming the HTTP status.
+/// A server reply settles the future with the `ScheduleResponse` its body
+/// decodes to, whatever the HTTP code: a result, the server's own rejection
+/// record, or its error — with the `invalid` bit, so a bad request throws
+/// std::invalid_argument from `get()` here just as it does in-process. An
+/// undecodable body is a transport error naming the HTTP status.
 ///
 /// stats_snapshot() is one `GET /stats` fetch on a short-lived connection:
 /// the parsed counters, the server's resident cache weight, and the raw
@@ -89,13 +89,13 @@ class RemoteBackend : public ScheduleBackend {
  private:
   struct PendingJob {
     std::string body;  ///< serialized ScheduleRequest envelope
-    std::promise<Settled> promise;
+    std::promise<ScheduleResponse> promise;
   };
 
   void client_loop() EXCLUDES(mutex_);
-  [[nodiscard]] Settled perform(FdHandle& conn, const std::string& body) const;
-  [[nodiscard]] Settled decode(const HttpResponse& response) const;
-  [[nodiscard]] Settled transport_error(const std::string& detail) const;
+  [[nodiscard]] ScheduleResponse perform(FdHandle& conn, const std::string& body) const;
+  [[nodiscard]] ScheduleResponse decode(const HttpResponse& response) const;
+  [[nodiscard]] ScheduleResponse transport_error(const std::string& detail) const;
   [[nodiscard]] std::string fetch(const char* target) const;
 
   RemoteConfig config_;

@@ -20,10 +20,7 @@ namespace {
 constexpr std::string_view kHealthBody = "{\"status\": \"ok\"}";
 
 [[nodiscard]] std::string error_envelope(std::string_view detail) {
-  ScheduleResponse response;
-  response.status = ScheduleResponse::Status::kError;
-  response.error = std::string(detail);
-  return response.to_json();
+  return ScheduleResponse::failure(std::string(detail)).to_json();
 }
 
 void epoll_add(int epoll_fd, int fd, std::uint32_t events) {
@@ -148,11 +145,12 @@ StsServer::Completion StsServer::run_job(Job job) {
       case ScheduleResponse::Status::kError: completion.status = 400; break;
     }
     completion.body = response.to_json();
-  } catch (const std::exception& e) {
-    // Malformed envelope (or a submit-time refusal): a typed error reply,
-    // never a dropped connection — the server itself stays healthy.
+  } catch (...) {
+    // Malformed envelope (marked invalid, like any bad request) or a
+    // submit-time refusal: a typed error reply, never a dropped connection —
+    // the server itself stays healthy.
     completion.status = 400;
-    completion.body = error_envelope(e.what());
+    completion.body = ScheduleResponse::from_current_exception().to_json();
   }
   return completion;
 }

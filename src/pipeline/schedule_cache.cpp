@@ -124,9 +124,4 @@ void ScheduleCache::clear() {
   stats_ = Stats{};
 }
 
-ScheduleCache& ScheduleCache::global() {
-  static ScheduleCache* cache = new ScheduleCache();
-  return *cache;
-}
-
 }  // namespace sts

@@ -124,9 +124,6 @@ class ScheduleCache {
   /// inserts its result afterwards.
   void clear() EXCLUDES(mutex_);
 
-  /// The process-wide cache used by cached convenience entry points.
-  [[nodiscard]] static ScheduleCache& global();
-
  private:
   mutable Mutex mutex_;
   WeightedLru<std::string, ResultPtr> lru_ GUARDED_BY(mutex_);

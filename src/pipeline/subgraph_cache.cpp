@@ -7,7 +7,7 @@
 #include "graph/serialization.hpp"
 #include "metrics/metrics.hpp"
 #include "pipeline/registry.hpp"
-#include "pipeline/schedule_cache.hpp"
+#include "support/hash.hpp"
 #include "support/parallel.hpp"
 #include "support/rational.hpp"
 
@@ -239,18 +239,10 @@ ScheduleResult schedule_with_subgraph_cache(const std::string& scheduler,
   using Clock = std::chrono::steady_clock;
   const Clock::time_point begin = Clock::now();
 
-  if (!composable_scheduler(scheduler, machine)) {
-    // Whole-graph fragment under the exact (id-sensitive) key: list/HEFT/CSDF
-    // results and mesh placements carry node ids verbatim, so they are only
-    // reusable for a bit-identical graph — never across renumberings.
-    std::string context = canonical_cache_key(graph, scheduler, machine);
-    const std::uint64_t hash = fnv1a64(context);
-    static const std::string kNoForm;
-    if (const auto hit = cache.find(hash, context, kNoForm, delta_request)) return *hit;
-    ScheduleResult result = schedule_by_name(scheduler, graph, machine);
-    return *cache.insert(hash, std::move(context), std::string(), std::move(result),
-                         graph.node_count());
-  }
+  // List/HEFT/CSDF results and mesh placements carry node ids verbatim, so
+  // they are only reusable for a bit-identical graph, which the caller's
+  // whole-graph ScheduleCache already memoizes.
+  if (!composable_scheduler(scheduler, machine)) return schedule_by_name(scheduler, graph, machine);
 
   std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>> canon;
   const CanonicalPartitionIndex index =

@@ -27,12 +27,11 @@ namespace sts {
 /// A fragment is the full ScheduleResult of the partition materialized as a
 /// standalone graph in canonical node order; assemble_from_fragments stitches
 /// fragments back into whole-graph coordinates bit-identically (by
-/// result_fingerprint) to a cold schedule. Keys are split into a `context`
-/// (scheduler name + machine cache key, or the whole-graph key on the
-/// non-composable path) and the canonical `form` bytes, with the bucket hash
-/// supplied by the caller — PartitionCanonMemo already digested the form, so
-/// probes stay O(context) instead of re-hashing kilobytes of form per
-/// partition. Probes still compare both strings in full, so a
+/// result_fingerprint) to a cold schedule. Only fragments are stored: keys
+/// are split into a `context` (scheduler name + machine cache key) and the
+/// canonical `form` bytes, with the bucket hash supplied by the caller —
+/// PartitionCanonMemo already digested the form, so probes stay O(context)
+/// instead of re-hashing kilobytes of form per partition. Probes still compare both strings in full, so a
 /// (astronomically unlikely) hash collision degrades to a miss, never to a
 /// wrong schedule.
 ///
@@ -114,8 +113,9 @@ class SubgraphCache {
 /// per-partition composable because the component-sequential partitioner
 /// never mixes partitions in a block and the streaming recurrences are
 /// translation-invariant in the block release time. Any other scheduler (or
-/// place_on_mesh) degrades to a single whole-graph fragment keyed by the
-/// exact (id-sensitive) canonical_cache_key — still cached, never composed.
+/// place_on_mesh) is plain schedule_by_name, stored nowhere: its result
+/// carries node ids verbatim, so only the caller's whole-graph ScheduleCache,
+/// keyed by the exact graph, can reuse it.
 ///
 /// `delta_request` only affects stats attribution (delta_invalidated).
 [[nodiscard]] ScheduleResult schedule_with_subgraph_cache(const std::string& scheduler,

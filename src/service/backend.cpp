@@ -59,27 +59,6 @@ ServiceStats service_stats_from_json(const JsonValue& json) {
   return stats;
 }
 
-ScheduleResponse ServiceAdmission::wait() {
-  ScheduleResponse response;
-  if (rejected.has_value()) {
-    response.status = ScheduleResponse::Status::kRejected;
-    response.rejected = rejected;
-    return response;
-  }
-  Settled settled = future.settled();
-  if (settled.rejected.has_value()) {
-    response.status = ScheduleResponse::Status::kRejected;
-    response.rejected = std::move(settled.rejected);
-  } else if (settled.error.empty()) {
-    response.result = std::move(settled.result);
-    response.status = ScheduleResponse::Status::kOk;
-  } else {
-    response.status = ScheduleResponse::Status::kError;
-    response.error = std::move(settled.error);
-  }
-  return response;
-}
-
 ScheduleResponse ScheduleBackend::schedule(ScheduleRequest request) {
   return submit(std::move(request)).wait();
 }

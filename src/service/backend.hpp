@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "pipeline/schedule_cache.hpp"
-#include "pipeline/settled.hpp"
 #include "pipeline/subgraph_cache.hpp"
 #include "service/request.hpp"
 
@@ -81,54 +80,54 @@ void accumulate_service_stats(ServiceStats& into, const ServiceStats& from);
 /// a member present with the wrong type, or a negative counter, throws.
 [[nodiscard]] ServiceStats service_stats_from_json(const JsonValue& json);
 
-/// Future over a `Settled` outcome with the classic throwing contract:
-/// `get()` returns the result or throws `std::invalid_argument` /
+/// Future over a request's `ScheduleResponse` with the classic throwing
+/// contract: `get()` returns the result or throws `std::invalid_argument` /
 /// `std::runtime_error` built from the transported error detail — thrown
 /// locally on the calling thread, so no exception object ever crosses
 /// threads. An asynchronously-delivered rejection throws std::runtime_error
-/// naming the shard; callers that want it typed use `ServiceAdmission::wait`.
+/// naming the shard; callers that want it typed use `response()`.
 class ServiceFuture {
  public:
   ServiceFuture() = default;
-  explicit ServiceFuture(std::future<Settled> settled) : settled_(std::move(settled)) {}
+  explicit ServiceFuture(std::future<ScheduleResponse> response)
+      : response_(std::move(response)) {}
 
-  [[nodiscard]] bool valid() const noexcept { return settled_.valid(); }
+  [[nodiscard]] bool valid() const noexcept { return response_.valid(); }
   template <typename Rep, typename Period>
   [[nodiscard]] std::future_status wait_for(
       const std::chrono::duration<Rep, Period>& timeout) const {
-    return settled_.wait_for(timeout);
+    return response_.wait_for(timeout);
   }
 
   /// Blocks; returns the result or throws on a failed or rejected job.
   /// Consumes the future; call once.
   [[nodiscard]] std::shared_ptr<const ScheduleResult> get() {
-    return settled_.get().result_or_throw();
+    return response_.get().result_or_throw();
   }
 
-  /// Blocks; the raw settled outcome, never throwing. Consumes the future;
-  /// call once.
-  [[nodiscard]] Settled settled() { return settled_.get(); }
+  /// Blocks; the response itself, never throwing. Consumes the future; call
+  /// once.
+  [[nodiscard]] ScheduleResponse response() { return response_.get(); }
 
  private:
-  std::future<Settled> settled_;
+  std::future<ScheduleResponse> response_;
 };
 
 /// Outcome of `ScheduleBackend::submit`: exactly one of `future` (valid iff
 /// accepted) or `rejected` is populated. A remote backend always "accepts"
 /// at submit time — transport happens asynchronously — and surfaces a
-/// server-side rejection through the settled future instead.
+/// server-side rejection through the future's response instead.
 struct ServiceAdmission {
   ServiceFuture future;
   std::optional<Rejected> rejected;
 
   [[nodiscard]] bool accepted() const noexcept { return !rejected.has_value(); }
 
-  /// Resolves this admission into the unified response envelope: blocks on
-  /// the future when accepted, folding a failed computation into
-  /// `ScheduleResponse::error` (and an asynchronously-delivered rejection
-  /// into `ScheduleResponse::rejected`) instead of an exception. Consumes
-  /// the future; call once.
-  [[nodiscard]] ScheduleResponse wait();
+  /// The synchronous rejection, or else the future's response (blocking).
+  /// Consumes the future; call once.
+  [[nodiscard]] ScheduleResponse wait() {
+    return rejected ? ScheduleResponse::refusal(*rejected) : future.response();
+  }
 };
 
 /// THE backend seam of the serving stack: anything that can resolve a

@@ -310,6 +310,30 @@ const char* to_string(ScheduleResponse::Status status) noexcept {
   return "?";
 }
 
+ScheduleResponse ScheduleResponse::from_current_exception() {
+  try {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    return failure(e.what(), /*invalid=*/true);
+  } catch (const std::exception& e) {
+    return failure(e.what());
+  } catch (...) {
+    return failure("unknown error");
+  }
+}
+
+std::shared_ptr<const ScheduleResult> ScheduleResponse::result_or_throw() const {
+  if (status == Status::kOk) return result;
+  if (status == Status::kRejected) {
+    throw std::runtime_error("schedule request rejected on shard " +
+                             std::to_string(rejected->shard) + " (depth " +
+                             std::to_string(rejected->depth) + "/" +
+                             std::to_string(rejected->limit) + ")");
+  }
+  if (invalid) throw std::invalid_argument(error);
+  throw std::runtime_error(error);
+}
+
 std::string ScheduleResponse::to_json() const {
   std::string out = "{\"status\": \"";
   out += to_string(status);
@@ -347,6 +371,7 @@ std::string ScheduleResponse::to_json() const {
     case Status::kError:
       out += ", \"error\": ";
       append_json_quoted(out, error);
+      if (invalid) out += ", \"invalid\": true";
       break;
   }
   out += '}';
@@ -357,7 +382,6 @@ ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
   // Response bodies are tiny (one flat object), so a tight depth bound is
   // free hardening against a malicious or confused server.
   const JsonDocument json = parse_json(text, JsonLimits{8, 1u << 20});
-  ScheduleResponse response;
   const std::string_view status = json.at("status").as_string();
   if (status == "ok") {
     reject_unknown_members(json,
@@ -386,9 +410,9 @@ ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
       }
       result->sim = std::move(sim);
     }
-    response.status = Status::kOk;
-    response.result = std::move(result);
-  } else if (status == "rejected") {
+    return success(std::move(result));
+  }
+  if (status == "rejected") {
     reject_unknown_members(json, {"status", "shard", "depth", "limit", "backend"},
                            "ScheduleResponse", "response");
     Rejected rejected;
@@ -403,17 +427,15 @@ ScheduleResponse ScheduleResponse::from_json(std::string_view text) {
     rejected.depth = index("depth");
     rejected.limit = index("limit");
     if (json.find("backend") != nullptr) rejected.backend = index("backend");
-    response.status = Status::kRejected;
-    response.rejected = rejected;
-  } else if (status == "error") {
-    reject_unknown_members(json, {"status", "error"}, "ScheduleResponse", "response");
-    response.status = Status::kError;
-    response.error = json.at("error").as_string();
-  } else {
-    throw std::invalid_argument("ScheduleResponse: unknown status '" + std::string(status) +
-                                "'");
+    return refusal(rejected);
   }
-  return response;
+  if (status == "error") {
+    reject_unknown_members(json, {"status", "error", "invalid"}, "ScheduleResponse", "response");
+    const JsonValue* invalid = json.find("invalid");
+    return failure(std::string(json.at("error").as_string()),
+                   invalid != nullptr && invalid->as_bool());
+  }
+  throw std::invalid_argument("ScheduleResponse: unknown status '" + std::string(status) + "'");
 }
 
 }  // namespace sts

@@ -1,17 +1,18 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph_edit.hpp"
 #include "graph/task_graph.hpp"
 #include "pipeline/schedule_context.hpp"
 #include "pipeline/scheduler.hpp"
-#include "pipeline/settled.hpp"
 #include "sim/dataflow_sim.hpp"
 
 namespace sts {
@@ -174,9 +175,28 @@ struct ScheduleRequest {
 /// nullopt unless `digest` is exactly 16 lowercase hex digits.
 [[nodiscard]] std::optional<std::uint64_t> parse_key_digest(std::string_view digest);
 
-/// Unified resolved outcome of a submitted request: exactly one of a shared
+/// Typed refusal of a request on a full shard.
+struct Rejected {
+  std::size_t shard = 0;  ///< index of the full shard inside its service
+  std::size_t depth = 0;  ///< queue depth observed at rejection
+  std::size_t limit = 0;  ///< the configured per-shard depth limit
+  /// Routing backend index; set only when a ShardRouter forwarded the
+  /// request (absent for a standalone service, so backend 0 and "no router"
+  /// stay distinguishable).
+  std::optional<std::size_t> backend;
+};
+
+/// The one outcome of a submitted request, from the thread that settles its
+/// future to the caller and across the wire: exactly one of a shared
 /// immutable result, a typed admission refusal, or an error detail (the
-/// message of the exception the computation failed with).
+/// message of the exception the computation failed with). Every backend
+/// settles its futures with it.
+///
+/// Errors cross threads as strings, never as a stored `exception_ptr`:
+/// libstdc++ refcounts exception objects inside uninstrumented runtime code,
+/// so ThreadSanitizer cannot order a cross-thread rethrow against the
+/// thrower and reports a false data race. `result_or_throw()` rebuilds the
+/// exception on the consuming thread instead.
 struct ScheduleResponse {
   enum class Status : std::uint8_t { kOk, kRejected, kError };
 
@@ -184,13 +204,37 @@ struct ScheduleResponse {
   std::shared_ptr<const ScheduleResult> result;  ///< kOk
   std::optional<Rejected> rejected;              ///< kRejected
   std::string error;                             ///< kError
+  /// kError: the request itself was bad (unknown scheduler or base_key,
+  /// invalid graph, malformed envelope), so the failure rethrows as
+  /// std::invalid_argument instead of std::runtime_error.
+  bool invalid = false;
+
+  [[nodiscard]] static ScheduleResponse success(std::shared_ptr<const ScheduleResult> result) {
+    return {Status::kOk, std::move(result), std::nullopt, {}, false};
+  }
+  [[nodiscard]] static ScheduleResponse refusal(Rejected rejected) {
+    return {Status::kRejected, nullptr, std::move(rejected), {}, false};
+  }
+  [[nodiscard]] static ScheduleResponse failure(std::string error, bool invalid = false) {
+    return {Status::kError, nullptr, std::nullopt, std::move(error), invalid};
+  }
+
+  /// Folds the exception in flight into a failure, `invalid` iff it is a
+  /// std::invalid_argument. Call only from inside a catch block.
+  [[nodiscard]] static ScheduleResponse from_current_exception();
 
   [[nodiscard]] bool ok() const noexcept { return status == Status::kOk; }
 
+  /// The result, or the failure thrown on the calling thread: a rejection as
+  /// std::runtime_error naming the shard, an error as std::invalid_argument
+  /// when `invalid` and std::runtime_error otherwise.
+  [[nodiscard]] std::shared_ptr<const ScheduleResult> result_or_throw() const;
+
   /// Flat JSON summary (status, makespan/speedup/fifo_capacity and sim
   /// fields when ok; shard/depth/limit/backend when rejected; the error
-  /// string otherwise) — the per-scenario record the sweep CLI emits, and
-  /// the body of a `POST /v1/schedule` reply.
+  /// string, plus `"invalid": true` for a bad request, otherwise) — the
+  /// per-scenario record the sweep CLI emits, and the body of a
+  /// `POST /v1/schedule` reply.
   [[nodiscard]] std::string to_json() const;
 
   /// Strict parse of `to_json()`-shaped text — how a RemoteBackend decodes a

@@ -78,14 +78,14 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
       // key(), but a caller may have.)
       request.invalidate_key();
     } catch (...) {
-      std::promise<Settled> failed;
+      std::promise<ScheduleResponse> failed;
       Admission admission{Future(failed.get_future()), std::nullopt};
       {
         const MutexLock lock(stats_mutex_);
         ++counters_.submitted;
         if (delta_simulate) ++counters_.simulated;
       }
-      finish_one(failed, Settled::from_current_exception(), /*fast_path=*/false);
+      finish_one(failed, ScheduleResponse::from_current_exception(), /*fast_path=*/false);
       return admission;
     }
   }
@@ -103,7 +103,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // materialized delta, so edit chains resolve link by link.
   remember_base(request.key_digest(), request.graph);
   const bool simulate = request.sim.has_value();
-  std::promise<Settled> promise;
+  std::promise<ScheduleResponse> promise;
   Admission admission{Future(promise.get_future()), std::nullopt};
   {
     const MutexLock lock(stats_mutex_);
@@ -114,7 +114,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   // Fast path: an already-completed result resolves synchronously without a
   // queue round trip. Admission control never refuses a cached answer.
   if (ResultPtr hit = cache_.try_get(hash, key)) {
-    finish_one(promise, Settled{std::move(hit), {}, false, std::nullopt}, /*fast_path=*/true);
+    finish_one(promise, ScheduleResponse::success(std::move(hit)), /*fast_path=*/true);
     return admission;
   }
 
@@ -232,16 +232,16 @@ void ScheduleService::worker_loop(Shard& shard) {
       // The pop opened one queue slot: wake one backpressured submitter.
       if (queue_depth_ > 0) shard.space_cv.notify_one();
     }
-    Settled settled;
+    ScheduleResponse response;
     try {
       const std::uint64_t hash = job.request.key_hash();  // before the key moves out
-      settled.result = cache_.get_or_compute(
+      response = ScheduleResponse::success(cache_.get_or_compute(
           hash, job.request.release_key(), [this, &job] { return compute_job(job); },
-          job.request.graph.node_count());
+          job.request.graph.node_count()));
     } catch (...) {
-      settled = Settled::from_current_exception();
+      response = ScheduleResponse::from_current_exception();
     }
-    finish_one(job.promise, std::move(settled), /*fast_path=*/false);
+    finish_one(job.promise, std::move(response), /*fast_path=*/false);
   }
 }
 
@@ -261,17 +261,17 @@ std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& d
   return base != nullptr ? *base : nullptr;
 }
 
-void ScheduleService::finish_one(std::promise<Settled>& promise, Settled settled,
-                                 bool fast_path) {
+void ScheduleService::finish_one(std::promise<ScheduleResponse>& promise,
+                                 ScheduleResponse response, bool fast_path) {
   {
     // Count and settle in one hold: whoever sees the future settled reads
     // its completion counted, and wait_idle (which reads the counters under
     // this lock) returns only after the future has settled.
     const MutexLock lock(stats_mutex_);
     ++counters_.completed;
-    if (!settled.error.empty()) ++counters_.failed;
+    if (response.status == ScheduleResponse::Status::kError) ++counters_.failed;
     if (fast_path) ++counters_.fast_path_hits;
-    promise.set_value(std::move(settled));
+    promise.set_value(std::move(response));
   }
   idle_cv_.notify_all();
 }

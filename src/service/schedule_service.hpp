@@ -102,11 +102,6 @@ struct ServiceConfig {
 class ScheduleService : public ScheduleBackend {
  public:
   using ResultPtr = ScheduleCache::ResultPtr;
-  using Rejected = sts::Rejected;
-
-  /// A settled job. The in-process service never uses the asynchronous
-  /// `rejected` channel — it refuses synchronously.
-  using Settled = sts::Settled;
 
   /// The seam's future/admission types under their historical names.
   using Future = ServiceFuture;
@@ -176,7 +171,7 @@ class ScheduleService : public ScheduleBackend {
  private:
   struct Job {
     ScheduleRequest request;  ///< request.key() is memoized before enqueue
-    std::promise<Settled> promise;
+    std::promise<ScheduleResponse> promise;
   };
   struct Shard {
     Mutex mutex;
@@ -188,10 +183,11 @@ class ScheduleService : public ScheduleBackend {
 
   [[nodiscard]] ScheduleResult compute_job(const Job& job);
   void worker_loop(Shard& shard) EXCLUDES(stats_mutex_);
-  /// Settles `promise` with `settled` and counts the completion (failed when
-  /// settled.error is set) under the same stats_mutex_ hold.
-  void finish_one(std::promise<Settled>& promise, Settled settled, bool fast_path)
-      EXCLUDES(stats_mutex_);
+  /// Settles `promise` with `response` and counts the completion (failed
+  /// when its status is kError) under the same stats_mutex_ hold. The
+  /// in-process service never settles a rejection: it refuses synchronously.
+  void finish_one(std::promise<ScheduleResponse>& promise, ScheduleResponse response,
+                  bool fast_path) EXCLUDES(stats_mutex_);
 
   /// Remembers `graph` as a possible delta base under the request digest
   /// (bounded LRU; an already-known digest is just refreshed, sparing the

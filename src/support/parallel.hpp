@@ -13,10 +13,10 @@ namespace sts {
 
 /// Process-wide fixed worker pool for fork-join task parallelism.
 ///
-/// One pool serves every parallel region in the process (the same leaked-
-/// singleton pattern as ScheduleCache::global). Workers spin briefly waiting
-/// for a region before parking on a condition variable, so the per-region
-/// fork-join latency stays in the microseconds — small enough to fan out the
+/// One pool serves every parallel region in the process, a leaked singleton
+/// (its workers outlive main). Workers spin briefly waiting for a region
+/// before parking on a condition variable, so the per-region fork-join
+/// latency stays in the microseconds — small enough to fan out the
 /// per-iteration argmin scans of the partitioner.
 ///
 /// One region runs at a time: a second concurrent begin() (another service

@@ -2,9 +2,9 @@
 // error statuses), the StsServer endpoints over real sockets (schedule
 // round trips, /stats, /healthz, error paths, keep-alive), the graceful
 // drain invariant (every accepted request is answered), RemoteBackend's
-// settled-outcome mapping including transport errors against a dead server,
-// and the fork/exec ServerProcess handshake + SIGTERM drain of a real
-// sts-serve child.
+// outcome mapping including transport errors against a dead server and
+// outcome parity with the in-process paths, and the fork/exec ServerProcess
+// handshake + SIGTERM drain of a real sts-serve child.
 
 #include "net/sts_server.hpp"
 
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "net/server_process.hpp"
 #include "net/socket.hpp"
 #include "service/schedule_service.hpp"
+#include "service/shard_router.hpp"
 #include "support/json.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -212,6 +214,7 @@ TEST(StsServer, ErrorPathsAnswerTypedStatusesAndEnvelopes) {
   const ScheduleResponse envelope = ScheduleResponse::from_json(bad_json.body);
   EXPECT_EQ(envelope.status, ScheduleResponse::Status::kError);
   EXPECT_FALSE(envelope.error.empty());
+  EXPECT_TRUE(envelope.invalid) << "a malformed envelope is a bad request";
 
   const HttpResponse wrong_method =
       one_shot(fixture.port(), render_http_request("GET", "/v1/schedule", ""));
@@ -259,7 +262,7 @@ TEST(StsServer, DrainAnswersEveryAcceptedRequest) {
   // what it accepted.
   std::size_t ok = 0;
   for (ServiceFuture& future : futures) {
-    const Settled settled = future.settled();
+    const ScheduleResponse settled = future.response();
     if (settled.result != nullptr) ++ok;
     else EXPECT_FALSE(settled.error.empty());
   }
@@ -317,6 +320,84 @@ TEST(RemoteBackend, SettlesWithTransportErrorWhenTheServerDies) {
   EXPECT_EQ(response.status, ScheduleResponse::Status::kError);
   EXPECT_NE(response.error.find("remote backend"), std::string::npos);
   remote.wait_idle();  // must return despite the dead server
+}
+
+/// What `future.get()` did: "ok", or the type of the exception it threw.
+std::string get_outcome(ServiceFuture future) {
+  try {
+    (void)future.get();
+    return "ok";
+  } catch (const std::invalid_argument&) {
+    return "std::invalid_argument";
+  } catch (const std::runtime_error&) {
+    return "std::runtime_error";
+  }
+}
+
+TEST(RemoteBackend, EveryServingPathSettlesTheSameOutcome) {
+  // One service configuration behind all three paths.
+  ServiceConfig config;
+  config.num_workers = 2;
+  ScheduleService service(config);
+  RouterConfig router_config;
+  router_config.num_backends = 2;
+  router_config.backend = config;
+  ShardRouter router(router_config);
+  const StsServer server(std::make_shared<ScheduleService>(config));
+  RemoteConfig remote_config;
+  remote_config.port = server.port();
+  RemoteBackend remote(remote_config);
+
+  ScheduleRequest unknown_scheduler = chain_request(12, 5);
+  unknown_scheduler.scheduler = "no-such-scheduler";
+  ScheduleRequest unknown_base;
+  unknown_base.base_key = "0123456789abcdef";
+  unknown_base.edits = {
+      GraphEdit{GraphEdit::Op::kSetEdgeVolume, NodeKind::kCompute, -1, 1, 2, 8, ""}};
+  unknown_base.machine.num_pes = 4;
+  // source -> a -> b on edges of 8, with a declaring 16: fails validation.
+  ScheduleRequest invalid_graph = chain_request(12, 5);
+  invalid_graph.graph = TaskGraph();
+  const NodeId source = invalid_graph.graph.add_source(8, "source");
+  const NodeId a = invalid_graph.graph.add_compute("a");
+  const NodeId b = invalid_graph.graph.add_compute("b");
+  invalid_graph.graph.add_edge(source, a, 8);
+  invalid_graph.graph.add_edge(a, b, 8);
+  invalid_graph.graph.declare_output(a, 16);
+  invalid_graph.graph.declare_output(b, 8);
+  ScheduleRequest tick_limited = chain_request(12, 5);
+  tick_limited.sim = SimOptions{};
+  tick_limited.sim->max_ticks = 1;
+
+  struct Case {
+    const char* name;
+    ScheduleRequest request;
+    ScheduleResponse::Status status;
+    const char* thrown;  ///< get_outcome() of the future
+  };
+  const std::vector<Case> cases = {
+      {"ok", chain_request(12, 5), ScheduleResponse::Status::kOk, "ok"},
+      {"unknown scheduler", unknown_scheduler, ScheduleResponse::Status::kError,
+       "std::invalid_argument"},
+      {"unknown base_key", unknown_base, ScheduleResponse::Status::kError,
+       "std::invalid_argument"},
+      {"invalid graph", invalid_graph, ScheduleResponse::Status::kError, "std::invalid_argument"},
+      {"tick-limited simulation", tick_limited, ScheduleResponse::Status::kError,
+       "std::runtime_error"},
+  };
+  for (const Case& c : cases) {
+    const ScheduleResponse expected = service.schedule(c.request);
+    EXPECT_EQ(expected.status, c.status) << c.name << ": " << expected.to_json();
+    const auto expect_same = [&](auto& path, const char* path_name) {
+      EXPECT_EQ(path.schedule(c.request).to_json(), expected.to_json())
+          << c.name << " through " << path_name;
+      EXPECT_EQ(get_outcome(path.submit(c.request).future), c.thrown)
+          << c.name << " through " << path_name;
+    };
+    expect_same(service, "ScheduleService");
+    expect_same(router, "ShardRouter");
+    expect_same(remote, "RemoteBackend");
+  }
 }
 
 // ----------------------------------------------------------- ServerProcess

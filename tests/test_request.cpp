@@ -284,6 +284,26 @@ TEST(ScheduleRequestDigest, RefusesAnythingButSixteenLowercaseHexDigits) {
   }
 }
 
+TEST(ScheduleResponseJson, InvalidMarksOnlyABadRequest) {
+  // A failed computation's body carries no bit; a bad request's does, and
+  // rethrows as std::invalid_argument after the round trip.
+  EXPECT_EQ(ScheduleResponse::failure("tick limit").to_json(),
+            R"({"status": "error", "error": "tick limit"})");
+  const std::string bad = ScheduleResponse::failure("unknown scheduler", true).to_json();
+  EXPECT_EQ(bad, R"({"status": "error", "error": "unknown scheduler", "invalid": true})");
+  const ScheduleResponse decoded = ScheduleResponse::from_json(bad);
+  EXPECT_TRUE(decoded.invalid);
+  EXPECT_THROW((void)decoded.result_or_throw(), std::invalid_argument);
+  EXPECT_THROW((void)ScheduleResponse::from_json(R"({"status": "error", "error": "x"})")
+                   .result_or_throw(),
+               std::runtime_error);
+  const char* explicit_false = R"({"status": "error", "error": "x", "invalid": false})";
+  EXPECT_FALSE(ScheduleResponse::from_json(explicit_false).invalid);
+  EXPECT_THROW(
+      (void)ScheduleResponse::from_json(R"({"status": "error", "error": "x", "invalid": 1})"),
+      std::invalid_argument);
+}
+
 TEST(JsonParser, RejectsStructuralGarbage) {
   for (const char* text :
        {"{\"a\": 1,}", "[1, 2,]", "{\"a\" 1}", "{1: 2}", "\"unterminated", "[1 2]",

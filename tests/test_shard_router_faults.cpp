@@ -82,7 +82,7 @@ class MockBackend : public ScheduleBackend {
 
   [[nodiscard]] ServiceAdmission submit(ScheduleRequest request) override {
     (void)request.key();  // the router hashed it already; a real backend reads it too
-    std::promise<Settled> promise;
+    std::promise<ScheduleResponse> promise;
     ServiceFuture future(promise.get_future());
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -124,14 +124,13 @@ class MockBackend : public ScheduleBackend {
 
  private:
   struct Pending {
-    std::promise<Settled> promise;
+    std::promise<ScheduleResponse> promise;
     bool async_reject = false;
   };
 
-  [[nodiscard]] Settled transport_error() const {
-    return Settled{nullptr,
-                   "mock backend " + std::to_string(index_) + ": connection reset mid-request",
-                   false, std::nullopt};
+  [[nodiscard]] ScheduleResponse transport_error() const {
+    return ScheduleResponse::failure("mock backend " + std::to_string(index_) +
+                                     ": connection reset mid-request");
   }
 
   void run() {
@@ -145,25 +144,25 @@ class MockBackend : public ScheduleBackend {
         queue_.pop_front();
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
-      Settled settled;
+      ScheduleResponse response;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         if (disconnected_) {
-          settled = transport_error();
+          response = transport_error();
           ++counters_.completed;
           ++counters_.failed;
         } else if (job.async_reject) {
           // What a remote server's 503 envelope decodes to: the server's own
           // shard/backend record, which the router must pass through intact.
-          settled = Settled{nullptr, {}, false, Rejected{1, 2, 3, 99}};
+          response = ScheduleResponse::refusal(Rejected{1, 2, 3, 99});
           ++counters_.rejected;
         } else {
-          settled = Settled{mock_result(), {}, false, std::nullopt};
+          response = ScheduleResponse::success(mock_result());
           ++counters_.completed;
         }
         --inflight_;
       }
-      job.promise.set_value(std::move(settled));
+      job.promise.set_value(std::move(response));
       idle_cv_.notify_all();
     }
   }
@@ -223,7 +222,7 @@ TEST(ShardRouterFaults, MidRequestDisconnectSurfacesTypedErrors) {
   for (const auto& mock : fleet.mocks) mock->disconnect();
   std::size_t errors = 0;
   for (ServiceFuture& future : futures) {
-    const Settled settled = future.settled();
+    const ScheduleResponse settled = future.response();
     if (!settled.error.empty()) {
       ++errors;
       EXPECT_NE(settled.error.find("connection reset"), std::string::npos);
@@ -324,7 +323,7 @@ TEST(ShardRouterFaults, DrainNeverHangsOnADeadBackend) {
   ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)), std::future_status::ready)
       << "wait_idle hung on a dead backend";
   for (ServiceFuture& future : futures) {
-    const Settled settled = future.settled();
+    const ScheduleResponse settled = future.response();
     EXPECT_TRUE(settled.result != nullptr || !settled.error.empty());
   }
 }

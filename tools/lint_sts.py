@@ -33,6 +33,15 @@ violation. Enforced rules:
     milliseconds. The memo itself and the router's raw-key lookup
     (`backend_for_key`, which has no request to read a hash from) are the
     allowlisted sites.
+
+ 6. One outcome type crosses threads: in src/service/, src/net/ and
+    src/pipeline/ every `std::promise`, `std::future` and
+    `std::shared_future` carries `ScheduleResponse`, and no
+    `std::exception_ptr`, `set_exception` or `rethrow_exception` appears.
+    Errors cross thread boundaries as values: a stored exception rethrown on
+    another thread is refcounted inside uninstrumented runtime code, which
+    ThreadSanitizer reports as a false data race, and a second outcome type
+    would need its own converters to the one the callers and the wire see.
 """
 
 from __future__ import annotations
@@ -98,17 +107,17 @@ def function_bodies(text: str, names: tuple[str, ...]):
         yield name, text[start:end]
 
 
-def call_argument(text: str, open_paren: int) -> str:
-    """The text between the parenthesis at `open_paren` and its match."""
+def bracketed(text: str, start: int, pair: str = "()") -> str:
+    """The text between the bracket at `start` (pair[0]) and its match."""
     depth = 0
-    for i in range(open_paren, len(text)):
-        if text[i] == "(":
+    for i in range(start, len(text)):
+        if text[i] == pair[0]:
             depth += 1
-        elif text[i] == ")":
+        elif text[i] == pair[1]:
             depth -= 1
             if depth == 0:
-                return text[open_paren + 1 : i]
-    return text[open_paren + 1 :]
+                return text[start + 1 : i]
+    return text[start + 1 :]
 
 
 def check_intra_threads_out_of_keys(errors: list[str]) -> None:
@@ -233,7 +242,7 @@ def check_request_key_hashed_once(errors: list[str]) -> None:
             for match in re.finditer(r"\bfnv1a64\s*\(", text):
                 if any(start <= match.start() < end for start, end in allowed):
                     continue
-                argument = call_argument(text, match.end() - 1)
+                argument = bracketed(text, match.end() - 1)
                 if REQUEST_KEY_NAMES & set(re.findall(r"[A-Za-z_]\w*", argument)):
                     line = text.count("\n", 0, match.start()) + 1
                     fail(
@@ -243,6 +252,32 @@ def check_request_key_hashed_once(errors: list[str]) -> None:
                     )
 
 
+OUTCOME_DIRS = ("service", "net", "pipeline")
+
+
+def check_one_outcome_type(errors: list[str]) -> None:
+    for directory in OUTCOME_DIRS:
+        for path in sorted((SRC / directory).rglob("*.[ch]pp")):
+            rel = path.relative_to(REPO).as_posix()
+            text = strip_comments(path.read_text())
+            for match in re.finditer(r"\bstd::(promise|future|shared_future)\s*<", text):
+                argument = " ".join(bracketed(text, match.end() - 1, "<>").split())
+                if argument.removeprefix("sts::") != "ScheduleResponse":
+                    line = text.count("\n", 0, match.start()) + 1
+                    fail(
+                        errors,
+                        f"{rel}:{line}: std::{match.group(1)}<{argument}> — settle futures "
+                        "with ScheduleResponse, the one outcome type that crosses threads",
+                    )
+            for match in re.finditer(r"\b(exception_ptr|set_exception|rethrow_exception)\b", text):
+                line = text.count("\n", 0, match.start()) + 1
+                fail(
+                    errors,
+                    f"{rel}:{line}: {match.group(1)} — errors cross threads as "
+                    "ScheduleResponse values, never as stored exceptions",
+                )
+
+
 def main() -> int:
     errors: list[str] = []
     check_intra_threads_out_of_keys(errors)
@@ -250,6 +285,7 @@ def main() -> int:
     check_sim_internal_private(errors)
     check_bench_reports(errors)
     check_request_key_hashed_once(errors)
+    check_one_outcome_type(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
