@@ -6,6 +6,11 @@
 // and report queries/second plus the speedup of the hit path. The cache-hit
 // path still pays for the canonical key (graph serialization + FNV-1a), so
 // the speedup measures memoization, not a no-op loop.
+//
+// The cached loop re-keys one graph, whose CSR the first (missing) query
+// built. A served hit keys a graph that was just copied or parsed, so the
+// `fresh-key q/s` column repeats the hits on fresh copies made before the
+// timer starts: the cost of a hit as a server sees it (no gate).
 
 #include <cstdint>
 #include <iostream>
@@ -44,7 +49,8 @@ int main() {
   workloads.push_back({"FFT(16)", make_fft(16, 1), 24});
   workloads.push_back({"Cholesky(8)", make_cholesky(8, 1), 30});
 
-  Table table({"workload", "#nodes", "cold q/s", "cached q/s", "speedup", "hits", "misses"});
+  Table table({"workload", "#nodes", "cold q/s", "cached q/s", "fresh-key q/s", "speedup",
+               "hits", "misses"});
   BenchReport report("pipeline_cache");
   bool all_fast = true;
   for (const Workload& w : workloads) {
@@ -67,18 +73,32 @@ int main() {
       if (r->makespan <= 0) return 1;
     }
     const double cached_seconds = cached_clock.seconds();
+    const ScheduleCache::Stats stats = cache.stats();
+
+    // Served hits: each query keys its own fresh copy of the graph.
+    const std::vector<TaskGraph> copies(kRepeats, w.graph);
+    Stopwatch fresh_clock;
+    for (const TaskGraph& copy : copies) {
+      const auto r = cache.get_or_schedule(copy, "streaming-rlx", machine);
+      if (r->makespan <= 0) return 1;
+    }
+    const double fresh_seconds = fresh_clock.seconds();
+    if (cache.stats().hits != stats.hits + kRepeats) {
+      std::cerr << w.name << ": a fresh copy of the graph missed the cache\n";
+      return 1;
+    }
 
     const double speedup = cold_seconds / cached_seconds;
     all_fast = all_fast && speedup >= 10.0;
-    const ScheduleCache::Stats stats = cache.stats();
     table.add_row({w.name, std::to_string(w.graph.node_count()),
                    fmt(kRepeats / cold_seconds, 0), fmt(kRepeats / cached_seconds, 0),
-                   fmt(speedup, 1) + "x", std::to_string(stats.hits),
-                   std::to_string(stats.misses)});
+                   fmt(kRepeats / fresh_seconds, 0), fmt(speedup, 1) + "x",
+                   std::to_string(stats.hits), std::to_string(stats.misses)});
     std::string key = w.name.substr(0, w.name.find('('));
     report.add(key + "_speedup", speedup);
     report.add(key + "_cold_qps", kRepeats / cold_seconds);
     report.add(key + "_cached_qps", kRepeats / cached_seconds);
+    report.add(key + "_fresh_cached_qps", kRepeats / fresh_seconds);
   }
   table.print(std::cout);
   std::cout << "\nExpected: cache-hit scheduling >= 10x faster than cold scheduling\n"

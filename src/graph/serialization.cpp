@@ -35,29 +35,41 @@ NodeKind kind_from(const std::string& token, std::size_t line) {
 // agree, so these bytes are those of output_volume(); on an invalid one a
 // declaration contradicting the out-edge volume stays visible, and the graph
 // cannot share a cache key, a memo entry, or a fragment with its valid twin.
-std::int64_t recorded_output(const TaskGraph& graph, NodeId v, std::int64_t derived) {
+// The partition forms read it from the CSR they already walk; the
+// fingerprint derives the same volumes from the flat arrays.
+std::int64_t recorded_output(const TaskGraph& graph, NodeId v) {
   const std::int64_t declared = graph.declared_output(v);
-  return graph.kind(v) != NodeKind::kSink && declared > 0 ? declared : derived;
+  return graph.kind(v) != NodeKind::kSink && declared > 0 ? declared : graph.output_volume(v);
 }
 
-std::int64_t recorded_output(const TaskGraph& graph, NodeId v) {
-  return recorded_output(graph, v, graph.output_volume(v));
+// The volume of every node's first out-edge in id order, 0 for a node without
+// one (volumes are positive): O(v) of a non-sink node with out-edges, as the
+// CSR derives it. One reverse pass over the flat edge array, so the text and
+// JSON writers never build the CSR of the graph they write.
+std::vector<std::int64_t> first_out_volumes(const TaskGraph& graph) {
+  std::vector<std::int64_t> first(graph.node_count(), 0);
+  const std::span<const Edge> edges = graph.edges();
+  for (auto edge = edges.rbegin(); edge != edges.rend(); ++edge) {
+    first[static_cast<std::size_t>(edge->src)] = edge->volume;
+  }
+  return first;
 }
 
 // The volume of v's `output` record in the text and JSON forms, given its
-// derived volume O(v), or 0 for none. Sources, exits and buffers carry one, since a reader cannot derive
-// their volume; so does any other non-sink whose declaration contradicts its
-// derived volume, so an invalid graph reaches a reader as itself and not as
-// its valid twin. The declarations of a valid graph's other nodes equal
-// their derived volumes and are left out.
-std::int64_t written_output(const TaskGraph& graph, NodeId v, std::int64_t derived) {
+// first out-edge volume (first_out_volumes), or 0 for none. Sources, exits
+// and buffers carry one, since a reader cannot derive their volume; so does
+// any other non-sink whose declaration contradicts its derived volume, so an
+// invalid graph reaches a reader as itself and not as its valid twin. The
+// declarations of a valid graph's other nodes equal their derived volumes
+// and are left out.
+std::int64_t written_output(const TaskGraph& graph, NodeId v, std::int64_t first_out) {
   const NodeKind kind = graph.kind(v);
   if (kind == NodeKind::kSink) return 0;
   const std::int64_t declared = graph.declared_output(v);
   const bool underivable =
-      kind == NodeKind::kSource || kind == NodeKind::kBuffer || graph.out_degree(v) == 0;
-  if (!underivable && (declared <= 0 || declared == derived)) return 0;
-  return recorded_output(graph, v, derived);
+      kind == NodeKind::kSource || kind == NodeKind::kBuffer || first_out == 0;
+  if (!underivable && (declared <= 0 || declared == first_out)) return 0;
+  return declared > 0 ? declared : first_out;
 }
 
 }  // namespace
@@ -163,12 +175,13 @@ void save_task_graph(std::ostream& output, const TaskGraph& graph) {
 }
 
 std::string save_task_graph_to_string(const TaskGraph& graph) {
-  // Built with plain string appends + to_chars rather than iostreams: this
-  // serialization doubles as the ScheduleCache key, so it sits on the
-  // cache-hit path and must stay much cheaper than scheduling itself.
+  // Plain string appends + to_chars rather than iostreams, and the flat
+  // arrays only, like the JSON writer: writing a graph must stay far cheaper
+  // than scheduling it. (Cache keys use the binary canonical_fingerprint,
+  // not this text.)
   std::string out;
   out.reserve(64 + 28 * graph.node_count() + 32 * graph.edge_count());
-  const std::span<const NodeProfile> profiles = graph.profiles();
+  const std::vector<std::int64_t> first_out = first_out_volumes(graph);
   out += "# canonical task graph: ";
   append_number(out, static_cast<std::int64_t>(graph.node_count()));
   out += " nodes, ";
@@ -184,8 +197,8 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
       out += graph.name(v);
     }
     out += '\n';
-    const std::int64_t derived = profiles[static_cast<std::size_t>(v)].out_volume;
-    if (const std::int64_t output = written_output(graph, v, derived); output > 0) {
+    const std::int64_t output = written_output(graph, v, first_out[static_cast<std::size_t>(v)]);
+    if (output > 0) {
       out += "output ";
       append_number(out, v);
       out += ' ';
@@ -207,7 +220,7 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
 }
 
 void append_task_graph_json(std::string& out, const TaskGraph& graph) {
-  const std::span<const NodeProfile> profiles = graph.profiles();
+  const std::vector<std::int64_t> first_out = first_out_volumes(graph);
   out += "{\"nodes\": [";
   for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
     if (v > 0) out += ", ";
@@ -216,8 +229,8 @@ void append_task_graph_json(std::string& out, const TaskGraph& graph) {
     out += '"';
     // Output records mirror the text serializer exactly, so
     // parse(append(g)) fingerprints identically to g.
-    const std::int64_t derived = profiles[static_cast<std::size_t>(v)].out_volume;
-    if (const std::int64_t output = written_output(graph, v, derived); output > 0) {
+    const std::int64_t output = written_output(graph, v, first_out[static_cast<std::size_t>(v)]);
+    if (output > 0) {
       out += ", \"output\": ";
       append_number(out, output);
     }
@@ -318,7 +331,6 @@ std::string canonical_fingerprint(const TaskGraph& graph) {
 void append_canonical_fingerprint(std::string& out, const TaskGraph& graph) {
   const std::size_t nodes = graph.node_count();
   const std::size_t edges = graph.edge_count();
-  const std::span<const NodeProfile> profiles = graph.profiles();
   const std::size_t at = out.size();
   out.resize(at + 16 + nodes * 9 + edges * 24);
   char* p = out.data() + at;
@@ -328,11 +340,23 @@ void append_canonical_fingerprint(std::string& out, const TaskGraph& graph) {
   };
   put64(static_cast<std::int64_t>(nodes));
   put64(static_cast<std::int64_t>(edges));
+  // Node records: the kind byte, then the declared output (0 for a sink).
+  char* const records = p;
   for (NodeId v = 0; static_cast<std::size_t>(v) < nodes; ++v) {
-    *p++ = static_cast<char>(graph.kind(v));
-    put64(recorded_output(graph, v, profiles[static_cast<std::size_t>(v)].out_volume));
+    const NodeKind kind = graph.kind(v);
+    *p++ = static_cast<char>(kind);
+    put64(kind == NodeKind::kSink ? 0 : graph.declared_output(v));
   }
+  // An undeclared non-sink records O(v), its first out-edge volume in id
+  // order, as recorded_output would from the CSR: declarations are >= 0 and
+  // volumes > 0, so the first edge to find its source's slot still 0 wins.
   for (const Edge& edge : graph.edges()) {
+    char* const record = records + 9 * static_cast<std::size_t>(edge.src);
+    std::int64_t recorded = 0;
+    std::memcpy(&recorded, record + 1, 8);
+    if (recorded == 0 && static_cast<NodeKind>(*record) != NodeKind::kSink) {
+      std::memcpy(record + 1, &edge.volume, 8);
+    }
     put64(edge.src);
     put64(edge.dst);
     put64(edge.volume);

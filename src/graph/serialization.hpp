@@ -41,10 +41,11 @@ void save_task_graph(std::ostream& output, const TaskGraph& graph);
 /// a non-sink node's declared output when one is set, else output_volume():
 /// identical bytes for every valid graph, while a declaration contradicting
 /// its out-edge volume (an invalid graph) changes the bytes instead of
-/// aliasing the valid twin. A single pre-sized buffer keeps it an order of
-/// magnitude cheaper than `save_task_graph_to_string`, which matters because
-/// this is the ScheduleCache key built on every (including cache-hit)
-/// scheduling query.
+/// aliasing the valid twin. This is the body of every request key, built
+/// on every (including cache-hit) scheduling query, so it is written into
+/// one pre-sized buffer from the flat node and edge arrays alone: keying a
+/// freshly copied or parsed graph never builds its CSR. Like the text and
+/// JSON writers, it calls no CSR accessor (lint rule 7).
 [[nodiscard]] std::string canonical_fingerprint(const TaskGraph& graph);
 
 /// Appends canonical_fingerprint(graph) to `out` — how a caller building a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +11,6 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_context.hpp"
-#include "support/hash.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -101,7 +101,7 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
   const std::uint64_t hash = request.key_hash();
   // Every submitted request can serve as a delta base — including a
   // materialized delta, so edit chains resolve link by link.
-  remember_base(request.key_digest(), request.graph);
+  remember_base(hash, request.graph);
   const bool simulate = request.sim.has_value();
   std::promise<ScheduleResponse> promise;
   Admission admission{Future(promise.get_future()), std::nullopt};
@@ -245,19 +245,19 @@ void ScheduleService::worker_loop(Shard& shard) {
   }
 }
 
-void ScheduleService::remember_base(const std::string& digest, const TaskGraph& graph) {
-  const std::uint64_t hash = fnv1a64(digest);
+void ScheduleService::remember_base(std::uint64_t key_hash, const TaskGraph& graph) {
   const MutexLock lock(bases_mutex_);
-  // A known digest is just refreshed, sparing the graph copy; a zero
-  // capacity would refuse the copy anyway.
-  if (bases_.capacity() == 0 || bases_.find(hash, digest) != nullptr) return;
-  (void)bases_.insert(hash, digest, std::make_shared<const TaskGraph>(graph), 1);
+  // A known hash is just refreshed, sparing the graph copy; a zero capacity
+  // would refuse the copy anyway.
+  if (bases_.capacity() == 0 || bases_.find(key_hash, key_hash) != nullptr) return;
+  (void)bases_.insert(key_hash, key_hash, std::make_shared<const TaskGraph>(graph), 1);
 }
 
-std::shared_ptr<const TaskGraph> ScheduleService::find_base(const std::string& digest) {
-  const std::uint64_t hash = fnv1a64(digest);
+std::shared_ptr<const TaskGraph> ScheduleService::find_base(std::string_view base_key) {
+  const std::optional<std::uint64_t> hash = parse_key_digest(base_key);
+  if (!hash) return nullptr;
   const MutexLock lock(bases_mutex_);
-  const auto* base = bases_.find(hash, digest);
+  const auto* base = bases_.find(*hash, *hash);
   return base != nullptr ? *base : nullptr;
 }
 

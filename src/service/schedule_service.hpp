@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -53,8 +54,9 @@ struct ServiceConfig {
 
   /// Entries kept in the base-request registry that delta requests resolve
   /// their `base_key` against (LRU of materialized graphs, keyed by
-  /// key_digest()). Every submitted request is remembered, so any recent
-  /// request — including a materialized delta — can serve as a base.
+  /// key_hash(), which a key_digest() parses back to). Every submitted
+  /// request is remembered, so any recent request — including a
+  /// materialized delta — can serve as a base.
   std::size_t base_registry_capacity = 1024;
 };
 
@@ -189,12 +191,14 @@ class ScheduleService : public ScheduleBackend {
   void finish_one(std::promise<ScheduleResponse>& promise, ScheduleResponse response,
                   bool fast_path) EXCLUDES(stats_mutex_);
 
-  /// Remembers `graph` as a possible delta base under the request digest
-  /// (bounded LRU; an already-known digest is just refreshed, sparing the
-  /// graph copy on repeated submissions of one scenario).
-  void remember_base(const std::string& digest, const TaskGraph& graph)
-      EXCLUDES(bases_mutex_);
-  [[nodiscard]] std::shared_ptr<const TaskGraph> find_base(const std::string& digest)
+  /// Remembers `graph` as a possible delta base under the request's
+  /// key_hash() (bounded LRU; an already-known hash is just refreshed,
+  /// sparing the graph copy on repeated submissions of one scenario).
+  void remember_base(std::uint64_t key_hash, const TaskGraph& graph) EXCLUDES(bases_mutex_);
+  /// The base a delta's `base_key` names: the graph remembered under the
+  /// hash the digest parses back to, or nullptr for an unknown or malformed
+  /// digest.
+  [[nodiscard]] std::shared_ptr<const TaskGraph> find_base(std::string_view base_key)
       EXCLUDES(bases_mutex_);
 
   ScheduleCache cache_;
@@ -206,10 +210,10 @@ class ScheduleService : public ScheduleBackend {
   std::atomic<bool> stopping_{false};
   const std::chrono::steady_clock::time_point start_time_ = std::chrono::steady_clock::now();
 
-  /// Base-request registry for delta resolution: digest -> materialized
+  /// Base-request registry for delta resolution: key_hash() -> materialized
   /// graph, every graph weighing 1, so the capacity counts entries.
   mutable Mutex bases_mutex_;
-  WeightedLru<std::string, std::shared_ptr<const TaskGraph>> bases_ GUARDED_BY(bases_mutex_);
+  WeightedLru<std::uint64_t, std::shared_ptr<const TaskGraph>> bases_ GUARDED_BY(bases_mutex_);
 
   mutable Mutex stats_mutex_;
   CondVar idle_cv_;  ///< signalled on every job completion/rejection

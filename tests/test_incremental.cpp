@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -743,6 +744,24 @@ TEST(DeltaRequest, ZeroBaseRegistryCapacityRefusesEveryDelta) {
   expect_unknown_base(service, delta_on(a));
   expect_balanced(service);
   EXPECT_EQ(service.stats().failed, 2u);
+}
+
+TEST(DeltaRequest, UppercaseDigestOfALiveBaseIsUnknown) {
+  // The registry is keyed by the hash a digest parses back to, and only the
+  // 16 lowercase hex digits key_digest() writes parse: an uppercase copy of
+  // a live digest names no base.
+  ScheduleService service(ServiceConfig{1});
+  const ScheduleRequest base = base_request();
+  ASSERT_TRUE(service.schedule(base).ok());
+  ScheduleRequest upper = delta_on(base);
+  for (char& c : *upper.base_key) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  ASSERT_NE(*upper.base_key, base.key_digest()) << "the digest has no hex letter to raise";
+  expect_unknown_base(service, std::move(upper));
+  const ScheduleResponse lower = service.schedule(delta_on(base));
+  EXPECT_TRUE(lower.ok()) << lower.error;
+  expect_balanced(service);
 }
 
 TEST(DeltaRequest, InvalidCompositionFailsInsteadOfAliasingTheBase) {

@@ -42,6 +42,14 @@ violation. Enforced rules:
     another thread is refcounted inside uninstrumented runtime code, which
     ThreadSanitizer reports as a false data race, and a second outcome type
     would need its own converters to the one the callers and the wire see.
+
+ 7. The key and wire writers read only a graph's flat node and edge arrays:
+    the bodies of FLAT_WRITERS (the request-key fingerprint, the cache-key
+    writer, the JSON and text writers), and of every function defined in the
+    same file that they call, directly or through each other, call none of
+    the CSR accessors in CSR_ACCESSORS. A cache hit keys a freshly copied or
+    parsed graph, and any of those accessors would build that graph's CSR
+    just to write bytes the flat arrays already hold.
 """
 
 from __future__ import annotations
@@ -278,6 +286,60 @@ def check_one_outcome_type(errors: list[str]) -> None:
                 )
 
 
+FLAT_WRITERS = (
+    "append_canonical_fingerprint",
+    "canonical_fingerprint",
+    "append_canonical_cache_key",
+    "append_task_graph_json",
+    "save_task_graph_to_string",
+)
+CSR_ACCESSORS = (
+    "profiles",
+    "in_edges",
+    "out_edges",
+    "in_degree",
+    "out_degree",
+    "input_volume",
+    "output_volume",
+)
+# Words followed by `(` that are not calls, so never helpers.
+NOT_CALLS = {"if", "for", "while", "switch", "catch", "return", "sizeof"}
+
+
+def check_writers_read_flat_arrays(errors: list[str]) -> None:
+    found: set[str] = set()
+    accessor = re.compile(r"\b(" + "|".join(CSR_ACCESSORS) + r")\s*\(")
+    for path in sorted(SRC.rglob("*.cpp")):
+        rel = path.relative_to(REPO).as_posix()
+        text = strip_comments(path.read_text())
+        # Each writer defined here, then each function defined here that a
+        # checked body calls (every overload of a called name).
+        pending = [(name, start, end) for name, start, end in function_spans(text, FLAT_WRITERS)]
+        found.update(name for name, _, _ in pending)
+        seen = {(start, end) for _, start, end in pending}
+        while pending:
+            name, start, end = pending.pop()
+            body = text[start:end]
+            for match in accessor.finditer(body):
+                line = text.count("\n", 0, start + match.start()) + 1
+                fail(
+                    errors,
+                    f"{rel}:{line}: {name}() calls {match.group(1)}() — the key and wire "
+                    "writers read only the flat node and edge arrays (a CSR accessor builds "
+                    "the CSR of every freshly copied or parsed graph they write)",
+                )
+            called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body)) - NOT_CALLS
+            if not called:
+                continue
+            for helper in function_spans(text, tuple(sorted(called))):
+                if (helper[1], helper[2]) not in seen:
+                    seen.add((helper[1], helper[2]))
+                    pending.append(helper)
+    for name in FLAT_WRITERS:
+        if name not in found:
+            fail(errors, f"src/: {name}() not found — update FLAT_WRITERS in tools/lint_sts.py")
+
+
 def main() -> int:
     errors: list[str] = []
     check_intra_threads_out_of_keys(errors)
@@ -286,6 +348,7 @@ def main() -> int:
     check_bench_reports(errors)
     check_request_key_hashed_once(errors)
     check_one_outcome_type(errors)
+    check_writers_read_flat_arrays(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
