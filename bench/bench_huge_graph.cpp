@@ -1,4 +1,4 @@
-// Intra-request parallelism at 10^5..10^6-node scale. Four phases:
+// One scheduling request at 10^5..10^6-node scale. Four phases:
 //
 //   identity — full-result fingerprints at lanes {2, 4, auto} x every
 //              registered scheduler on a medium layered graph must equal the
@@ -9,10 +9,9 @@
 //              arena blocks, i.e. O(log n) heap traffic instead of per-node
 //              allocations. Hard gate on every host.
 //   latency  — best-of-N streaming-rlx schedule latency on the 10^5-node
-//              graph at 1 lane vs 4 lanes. The speedup gates at
-//              STS_HUGE_SPEEDUP_MIN (default 2.0) only on hosts with >= 4
-//              hardware threads; elsewhere (laptops pinned to a core, CI
-//              containers) it is reported but cannot gate.
+//              graph at 1 lane, gated at 1.0 s on every host: heap-ordered
+//              ready sets keep the partitioner at O((N+E) log N). The
+//              4-lane time is reported beside it, ungated.
 //   mega     — one 10^6-node schedule at auto lanes, reported only; skipped
 //              in smoke mode (STS_BENCH_GRAPHS set) where it would dominate
 //              the job's wall time.
@@ -65,14 +64,6 @@ TaskGraph make_huge_layered(int layers, int width, int fan_in, std::uint64_t see
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return canonical_from_topology(static_cast<std::int32_t>(nodes), edges, seed);
-}
-
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return fallback;
 }
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
@@ -193,22 +184,16 @@ int main() {
   {
     const double t1 = schedule_seconds(huge, 64, 1, repeats);
     const double t4 = schedule_seconds(huge, 64, 4, repeats);
-    const double speedup = t4 > 0.0 ? t1 / t4 : 0.0;
-    const double speedup_min = env_double("STS_HUGE_SPEEDUP_MIN", 2.0);
-    const bool enforce = hw >= 4;
+    constexpr double kMaxSeconds = 1.0;
     report.add("latency_seconds_1lane", t1);
     report.add("latency_seconds_4lane", t4);
-    report.add("latency_speedup_4lane", speedup);
-    report.add("latency_speedup_min", speedup_min);
-    report.add("latency_gate_enforced", std::string(enforce ? "yes" : "no"));
-    std::printf("huge_graph: %lld nodes, 1-lane %.3fs, 4-lane %.3fs, speedup %.2fx\n",
-                static_cast<long long>(huge.node_count()), t1, t4, speedup);
-    if (enforce && speedup < speedup_min) {
-      std::fprintf(stderr, "huge_graph: speedup %.2fx below the %.2fx gate on %u threads\n",
-                   speedup, speedup_min, hw);
+    report.add("latency_seconds_max", kMaxSeconds);
+    std::printf("huge_graph: %lld nodes, 1-lane %.3fs (bound %.2fs), 4-lane %.3fs (ungated)\n",
+                static_cast<long long>(huge.node_count()), t1, kMaxSeconds, t4);
+    if (t1 > kMaxSeconds) {
+      std::fprintf(stderr, "huge_graph: 1-lane %.3fs exceeds the %.2fs bound\n", t1,
+                   kMaxSeconds);
       failed = true;
-    } else if (!enforce) {
-      std::printf("huge_graph: < 4 hardware threads, speedup reported but not enforced\n");
     }
   }
 

@@ -1,6 +1,7 @@
 #include "core/partition.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -14,48 +15,40 @@ namespace {
 
 constexpr std::int64_t kNoConstraint = std::numeric_limits<std::int64_t>::max();
 
-/// Shared machinery of the greedy partitioners: incremental ready set,
+/// Shared machinery of the greedy partitioners: readiness tracking,
 /// automatic (block-less) assignment of buffer nodes, block bookkeeping.
-/// All O(n) scratch comes from the workspace arena, so building a partition
-/// costs no per-node heap allocations (the result containers aside).
+/// Every node that becomes ready is handed to the caller's `on_ready`, which
+/// files it into the caller's ready heaps. All O(n) scratch comes from the
+/// workspace arena, so building a partition costs no per-node heap
+/// allocations (the result containers aside).
 class PartitionBuilder {
  public:
   PartitionBuilder(const TaskGraph& graph, std::int64_t num_pes, Workspace& ws)
       : graph_(graph), num_pes_(num_pes),
         pending_in_(ws.arena.alloc_array<std::size_t>(graph.node_count())),
-        ready_pos_(ws.arena.alloc_array<std::int32_t>(graph.node_count())),
-        ready_storage_(ws.arena.alloc_array<NodeId>(graph.node_count())),
         chain_min_(ws.arena.alloc_array<std::int64_t>(graph.node_count())) {
     if (num_pes <= 0) throw std::invalid_argument("partition: num_pes must be > 0");
     partition_.block_of.assign(graph.node_count(), -1);
     for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
       pending_in_[static_cast<std::size_t>(v)] = graph.in_degree(v);
-      ready_pos_[static_cast<std::size_t>(v)] = -1;
       chain_min_[static_cast<std::size_t>(v)] = kNoConstraint;
       if (graph.occupies_pe(v)) ++remaining_;
     }
   }
 
-  /// Activates one connected partition: its in-degree-0 nodes enter the ready
-  /// set (components are edge-closed, so nothing else can be pending-free).
-  /// Callers drive components one at a time; the ready set only ever holds
-  /// nodes of the active one.
-  void seed(std::span<const NodeId> nodes) {
+  /// Activates one connected partition: its in-degree-0 nodes become ready
+  /// (components are edge-closed, so nothing else can be pending-free).
+  /// Callers drive components one at a time, so the ready nodes are only
+  /// ever those of the active one.
+  template <typename OnReady>
+  void seed(std::span<const NodeId> nodes, const OnReady& on_ready) {
     for (const NodeId v : nodes) {
-      if (pending_in_[static_cast<std::size_t>(v)] == 0) on_ready(v);
+      if (pending_in_[static_cast<std::size_t>(v)] == 0) make_ready(v, on_ready);
     }
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return remaining_; }
-  [[nodiscard]] bool done() const noexcept { return remaining_ == 0; }
-  [[nodiscard]] std::span<const NodeId> ready() const noexcept {
-    return ready_storage_.subspan(0, ready_size_);
-  }
-  [[nodiscard]] std::int32_t open_block() const noexcept { return open_block_; }
-  [[nodiscard]] bool block_open_and_nonempty() const noexcept {
-    return open_block_ >= 0 &&
-           !partition_.blocks[static_cast<std::size_t>(open_block_)].empty();
-  }
+  [[nodiscard]] bool block_open() const noexcept { return open_block_ >= 0; }
 
   /// Min output volume over the open-block sources `v` transitively depends
   /// on via direct (non-buffer) edges; kNoConstraint if v has no predecessor
@@ -72,7 +65,10 @@ class PartitionBuilder {
     return bound;
   }
 
-  void assign(NodeId v) {
+  /// Places ready node v in the open block (opening one if none is), reports
+  /// the nodes this makes ready, then closes the block if it holds num_pes.
+  template <typename OnReady>
+  void assign(NodeId v, const OnReady& on_ready) {
     if (open_block_ < 0) {
       open_block_ = static_cast<std::int32_t>(partition_.blocks.size());
       partition_.blocks.emplace_back();
@@ -84,9 +80,8 @@ class PartitionBuilder {
         bound == kNoConstraint ? graph_.output_volume(v) : bound;
     partition_.block_of[static_cast<std::size_t>(v)] = open_block_;
     partition_.blocks[static_cast<std::size_t>(open_block_)].push_back(v);
-    remove_ready(v);
     --remaining_;
-    release_successors(v);
+    release_successors(v, on_ready);
     if (static_cast<std::int64_t>(
             partition_.blocks[static_cast<std::size_t>(open_block_)].size()) >= num_pes_) {
       close_block();
@@ -95,63 +90,122 @@ class PartitionBuilder {
 
   void close_block() { open_block_ = -1; }
 
-  [[nodiscard]] SpatialPartition take() {
-    // Drop a trailing empty block if one was opened but never filled.
-    while (!partition_.blocks.empty() && partition_.blocks.back().empty()) {
-      partition_.blocks.pop_back();
-    }
-    return std::move(partition_);
-  }
+  [[nodiscard]] SpatialPartition take() { return std::move(partition_); }
 
  private:
-  void on_ready(NodeId v) {
+  template <typename OnReady>
+  void make_ready(NodeId v, const OnReady& on_ready) {
     if (graph_.kind(v) == NodeKind::kBuffer) {
       // Buffer nodes are backing memory, not tasks: absorb them as soon as
       // all producers are placed; they never consume a PE slot.
-      release_successors(v);
+      release_successors(v, on_ready);
     } else {
-      ready_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(ready_size_);
-      ready_storage_[ready_size_++] = v;
+      on_ready(v);
     }
   }
 
-  void release_successors(NodeId v) {
+  template <typename OnReady>
+  void release_successors(NodeId v, const OnReady& on_ready) {
     for (const EdgeId e : graph_.out_edges(v)) {
       const NodeId w = graph_.edge(e).dst;
-      if (--pending_in_[static_cast<std::size_t>(w)] == 0) on_ready(w);
+      if (--pending_in_[static_cast<std::size_t>(w)] == 0) make_ready(w, on_ready);
     }
-  }
-
-  // O(1) swap-remove via the node -> ready-index map (the former linear
-  // std::find scan dominated partitioning time on wide graphs).
-  void remove_ready(NodeId v) {
-    const std::int32_t pos = ready_pos_[static_cast<std::size_t>(v)];
-    if (pos < 0) return;
-    const NodeId moved = ready_storage_[ready_size_ - 1];
-    ready_storage_[static_cast<std::size_t>(pos)] = moved;
-    ready_pos_[static_cast<std::size_t>(moved)] = pos;
-    --ready_size_;
-    ready_pos_[static_cast<std::size_t>(v)] = -1;
   }
 
   const TaskGraph& graph_;
   std::int64_t num_pes_;
   SpatialPartition partition_;
   std::span<std::size_t> pending_in_;
-  std::span<std::int32_t> ready_pos_;  ///< node -> index in ready set; -1 if absent
-  std::span<NodeId> ready_storage_;    ///< first ready_size_ slots hold the ready set
   std::span<std::int64_t> chain_min_;
-  std::size_t ready_size_ = 0;
   std::int32_t open_block_ = -1;
   std::size_t remaining_ = 0;
 };
 
-/// Grain for the ready-set argmin fan-out: below this many candidates the
-/// scan stays on the calling thread (fork-join overhead would dominate).
-/// 256 elements cost a few microseconds per chunk — enough to amortise the
-/// pool's fork-join latency while still splitting a layer-wide ready set
-/// (a few thousand candidates) across all four lanes of the latency gate.
-constexpr std::int64_t kArgminGrain = 256;
+/// A ready node with its sort key packed beside it, so a heap comparison
+/// reads one record instead of three per-node arrays.
+struct ReadyEntry {
+  Rational level;
+  std::int64_t amount;  ///< produced volume (Alg. 1) or work (Alg. 2)
+  std::int32_t rank;    ///< canonical rank within the node's component
+  NodeId node;
+};
+
+// Strict total orders over one component's ready nodes (ranks are unique
+// within a component, and the heaps only ever hold one component). The
+// final canonical-rank tie-break keeps every pick invariant under node-id
+// renumbering.
+
+/// Alg. 1: lowest level, then least produced volume.
+struct EligibleOrder {
+  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const noexcept {
+    if (a.level != b.level) return a.level < b.level;
+    if (a.amount != b.amount) return a.amount < b.amount;
+    return a.rank < b.rank;
+  }
+};
+
+/// SB-RLX fallback: least produced volume, then lowest level.
+struct RelaxedOrder {
+  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const noexcept {
+    if (a.amount != b.amount) return a.amount < b.amount;
+    if (a.level != b.level) return a.level < b.level;
+    return a.rank < b.rank;
+  }
+};
+
+/// Alg. 2: highest work, then lowest level.
+struct HeaviestOrder {
+  bool operator()(const ReadyEntry& a, const ReadyEntry& b) const noexcept {
+    if (a.amount != b.amount) return a.amount > b.amount;
+    if (a.level != b.level) return a.level < b.level;
+    return a.rank < b.rank;
+  }
+};
+
+/// Ready nodes as a binary heap over arena storage reached through `Slots`:
+/// a pointer to the heap's first slot, or a reverse iterator for a heap that
+/// grows down from the end of an array it shares. pop() takes the least
+/// entry under the strict total order `Before`.
+template <typename Before, typename Slots = ReadyEntry*>
+class ReadyHeap {
+ public:
+  explicit ReadyHeap(Slots slots) noexcept : slots_(slots) {}
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+  void push(ReadyEntry entry) {
+    slots_[size_++] = entry;
+    std::push_heap(slots_, slots_ + size_, after);
+  }
+
+  [[nodiscard]] NodeId pop() {
+    std::pop_heap(slots_, slots_ + size_, after);
+    return slots_[--size_].node;
+  }
+
+  /// Moves every entry into `into`, deepest slot first. When the two heaps
+  /// share an array from opposite ends, each push then writes at or below
+  /// the slot just read, never over an entry still to move.
+  template <typename Into>
+  void drain_into(Into& into) {
+    while (size_ > 0) into.push(slots_[--size_]);
+  }
+
+ private:
+  // The std heap algorithms keep the greatest element on top.
+  static bool after(const ReadyEntry& a, const ReadyEntry& b) noexcept { return Before{}(b, a); }
+
+  Slots slots_;
+  std::size_t size_ = 0;
+};
+
+/// The most nodes one component can hold ready at once: its size. Components
+/// run one at a time, so this bounds the ready heaps' combined size.
+std::size_t largest_component(const CanonicalPartitionIndex& index) {
+  std::size_t largest = 0;
+  for (std::int32_t c = 0; c < index.count; ++c) largest = std::max(largest, index.nodes(c).size());
+  return largest;
+}
 
 std::size_t pe_node_count(const TaskGraph& graph, std::span<const NodeId> nodes) {
   std::size_t count = 0;
@@ -181,77 +235,48 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
   }
   const std::vector<std::int32_t>& rank = index->rank;
 
-  // Strict-total-order comparators ("does v beat the incumbent b?"). The
-  // serial loop's first-then-strict-improve scan computes the unique minimum
-  // under these orders, so reducing per-chunk winners in any grouping yields
-  // the same node — the parallel argmin is bit-identical to serial.
-  const auto eligible_beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    // Primary criterion per Algorithm 1; ties broken by node level, then
-    // produced volume, then canonical rank (deterministic AND invariant
-    // under node-id renumbering — candidates are always same-component, so
-    // ranks never collide).
-    const auto& lv = level[static_cast<std::size_t>(v)];
-    const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    const auto ov = graph.output_volume(v);
-    const auto ob = graph.output_volume(b);
-    if (ov != ob) return ov < ob;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
-  };
-  const auto relaxed_beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    // SB-RLX fallback: least produced volume, then level, then rank.
-    const auto ov = graph.output_volume(v);
-    const auto ob = graph.output_volume(b);
-    if (ov != ob) return ov < ob;
-    const auto& lv = level[static_cast<std::size_t>(v)];
-    const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
+  // A ready node's eligibility is fixed from the moment it becomes ready
+  // until the open block closes: all its predecessors are placed, so its
+  // source-volume bound changes only with the open block, and after a close
+  // every ready node is unconstrained. An eligible node thus stays eligible
+  // and waits in one heap in Alg. 1's order; an ineligible one waits in
+  // another in SB-RLX's fallback order until a close moves it over (each
+  // node moves at most once). Together the heaps hold at most one
+  // component, so they share one array: eligible from the front, ineligible
+  // from the back.
+  const std::span<ReadyEntry> slots =
+      work.arena.alloc_array<ReadyEntry>(largest_component(*index));
+  ReadyHeap<EligibleOrder> eligible(slots.data());
+  ReadyHeap<RelaxedOrder, std::reverse_iterator<ReadyEntry*>> ineligible(
+      std::reverse_iterator(slots.data() + slots.size()));
+  const auto on_ready = [&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    const ReadyEntry entry{level[i], graph.output_volume(v), rank[i], v};
+    const std::int64_t bound = builder.source_volume_bound(v);
+    if (bound == kNoConstraint || entry.amount <= bound) {
+      eligible.push(entry);
+    } else {
+      ineligible.push(entry);
+    }
   };
 
-  struct Best {
-    NodeId eligible = kInvalidNode;
-    NodeId relaxed = kInvalidNode;
-  };
   for (std::int32_t c = 0; c < index->count; ++c) {
     const std::span<const NodeId> component = index->nodes(c);
-    builder.seed(component);
+    builder.seed(component, on_ready);
     const std::size_t target = builder.remaining() - pe_node_count(graph, component);
     while (builder.remaining() > target) {
-      const std::span<const NodeId> ready = builder.ready();
-      if (ready.empty()) {
+      if (!eligible.empty()) {
+        builder.assign(eligible.pop(), on_ready);
+      } else if (ineligible.empty()) {
         throw std::logic_error("partition: no ready node (cyclic graph?)");
-      }
-      const Best best = work.parallel.map_reduce(
-          static_cast<std::int64_t>(ready.size()), kArgminGrain, Best{},
-          [&](std::int64_t lo, std::int64_t hi, Best& acc) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const NodeId v = ready[static_cast<std::size_t>(i)];
-              const std::int64_t bound = builder.source_volume_bound(v);
-              if (bound == kNoConstraint || graph.output_volume(v) <= bound) {
-                if (eligible_beats(v, acc.eligible)) acc.eligible = v;
-              } else if (variant == PartitionVariant::kRLX) {
-                if (relaxed_beats(v, acc.relaxed)) acc.relaxed = v;
-              }
-            }
-          },
-          [&](Best& into, const Best& from) {
-            if (eligible_beats(from.eligible, into.eligible)) into.eligible = from.eligible;
-            if (relaxed_beats(from.relaxed, into.relaxed)) into.relaxed = from.relaxed;
-          });
-      if (best.eligible != kInvalidNode) {
-        builder.assign(best.eligible);
-      } else if (variant == PartitionVariant::kRLX && best.relaxed != kInvalidNode) {
-        builder.assign(best.relaxed);
+      } else if (variant == PartitionVariant::kRLX) {
+        builder.assign(ineligible.pop(), on_ready);
       } else {
         // SB-LTS: nothing safe to add; seal the block and start a fresh one
         // (every candidate is then a block source and becomes eligible).
         builder.close_block();
       }
+      if (!builder.block_open()) ineligible.drain_into(eligible);  // sealed above, or full
     }
     // Component boundary: blocks never span components, so the per-component
     // schedule fragments downstream stay independently reusable.
@@ -273,42 +298,22 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
   }
   const std::vector<std::int32_t>& rank = index->rank;
 
-  // Highest work first, ties by lowest level then canonical rank — a strict
-  // total order, so the chunked reduction is exact (see
-  // partition_spatial_blocks).
-  const auto beats = [&](NodeId v, NodeId b) {
-    if (b == kInvalidNode) return v != kInvalidNode;
-    if (v == kInvalidNode) return false;
-    const std::int64_t wv = graph.work(v);
-    const std::int64_t wb = graph.work(b);
-    if (wv != wb) return wv > wb;
-    const auto& lv = level[static_cast<std::size_t>(v)];
-    const auto& lb = level[static_cast<std::size_t>(b)];
-    if (lv != lb) return lv < lb;
-    return rank[static_cast<std::size_t>(v)] < rank[static_cast<std::size_t>(b)];
+  ReadyHeap<HeaviestOrder> ready(
+      work.arena.alloc_array<ReadyEntry>(largest_component(*index)).data());
+  const auto on_ready = [&](NodeId v) {
+    const auto i = static_cast<std::size_t>(v);
+    ready.push({level[i], graph.work(v), rank[i], v});
   };
 
   for (std::int32_t c = 0; c < index->count; ++c) {
     const std::span<const NodeId> component = index->nodes(c);
-    builder.seed(component);
+    builder.seed(component, on_ready);
     const std::size_t target = builder.remaining() - pe_node_count(graph, component);
     while (builder.remaining() > target) {
-      const std::span<const NodeId> ready = builder.ready();
       if (ready.empty()) {
         throw std::logic_error("partition_by_work: no ready node (cyclic graph?)");
       }
-      const NodeId best = work.parallel.map_reduce(
-          static_cast<std::int64_t>(ready.size()), kArgminGrain, kInvalidNode,
-          [&](std::int64_t lo, std::int64_t hi, NodeId& acc) {
-            for (std::int64_t i = lo; i < hi; ++i) {
-              const NodeId v = ready[static_cast<std::size_t>(i)];
-              if (beats(v, acc)) acc = v;
-            }
-          },
-          [&](NodeId& into, const NodeId& from) {
-            if (beats(from, into)) into = from;
-          });
-      builder.assign(best);  // blocks cut automatically every num_pes nodes
+      builder.assign(ready.pop(), on_ready);  // blocks cut automatically every num_pes nodes
     }
     builder.close_block();  // blocks never span components
   }

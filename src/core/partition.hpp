@@ -54,11 +54,10 @@ struct SpatialPartition {
 /// internal canonicalization (it must describe `graph`); without one, the
 /// canonicalization reuses the node levels the partitioner computes anyway.
 ///
-/// When a Workspace is given, its arena backs the builder scratch (no
-/// per-node heap allocations) and its lanes fan out the per-iteration argmin
-/// scan over the ready set. The scan reduces under a strict total order, so
-/// the unique winner — and the whole partition — is bit-identical to the
-/// serial path at every lane count.
+/// Each pick pops the least ready node under a strict total order from a
+/// heap; a partition costs O((N + E) log N). When a Workspace is given, its
+/// arena backs the builder scratch and the heaps (no per-node heap
+/// allocations).
 [[nodiscard]] SpatialPartition partition_spatial_blocks(const TaskGraph& graph,
                                                         std::int64_t num_pes,
                                                         PartitionVariant variant,

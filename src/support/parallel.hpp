@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "support/thread_annotations.hpp"
@@ -16,8 +15,8 @@ namespace sts {
 /// One pool serves every parallel region in the process, a leaked singleton
 /// (its workers outlive main). Workers spin briefly waiting for a region
 /// before parking on a condition variable, so the per-region fork-join
-/// latency stays in the microseconds — small enough to fan out the
-/// per-iteration argmin scans of the partitioner.
+/// latency stays in the microseconds — small enough to fan out one Kahn
+/// wave of the level passes.
 ///
 /// One region runs at a time: a second concurrent begin() (another service
 /// worker, or a nested parallel_for) is refused and the caller runs its
@@ -75,12 +74,9 @@ class TaskPool {
 /// per hardware thread, N = up to N lanes (clamped to the pool size).
 ///
 /// Determinism contract: for_range partitions [0, n) into contiguous chunks
-/// whose boundaries depend only on (n, grain, lanes); map_reduce combines
-/// per-chunk accumulators in ascending chunk order on the calling thread.
-/// Callers that write disjoint ranges, or reduce with an associative
-/// operation under a strict total order (argmin/argmax with a unique
-/// tie-break, max of independent values), therefore produce results
-/// bit-identical to the serial path at every lane count.
+/// whose boundaries depend only on (n, grain, lanes). Callers whose chunks
+/// write disjoint ranges therefore produce results bit-identical to the
+/// serial path at every lane count.
 class Parallel {
  public:
   Parallel() noexcept : lanes_(1) {}
@@ -103,30 +99,6 @@ class Parallel {
       fn(n * c / chunks, n * (c + 1) / chunks);
     };
     run_chunks(chunks, body);
-  }
-
-  /// Deterministic chunked reduction: each chunk folds its range into an
-  /// accumulator seeded with `init` via map(begin, end, acc); the chunk
-  /// accumulators are then combined in ascending chunk order with
-  /// combine(into, from) on the calling thread.
-  template <typename T, typename MapFn, typename CombineFn>
-  [[nodiscard]] T map_reduce(std::int64_t n, std::int64_t grain, T init, MapFn&& map,
-                             CombineFn&& combine) const {
-    if (n <= 0) return init;
-    const int chunks = chunk_count(n, grain);
-    if (chunks <= 1) {
-      T acc = init;
-      map(std::int64_t{0}, n, acc);
-      return acc;
-    }
-    std::vector<T> accs(static_cast<std::size_t>(chunks), init);
-    auto body = [&](int c) {
-      map(n * c / chunks, n * (c + 1) / chunks, accs[static_cast<std::size_t>(c)]);
-    };
-    run_chunks(chunks, body);
-    T result = std::move(accs[0]);
-    for (int c = 1; c < chunks; ++c) combine(result, accs[static_cast<std::size_t>(c)]);
-    return result;
   }
 
  private:

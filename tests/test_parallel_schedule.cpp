@@ -3,8 +3,8 @@
 // full ScheduleResult produced at lane counts {2, 4, 8} (and auto) must be
 // bit-identical — same fingerprint, see result_fingerprint.hpp — to the
 // serial (intra_threads = 1) result. Plus unit coverage of the Parallel
-// runtime itself (chunk coverage, deterministic combine order, exception
-// propagation, nested regions) and of the wave-parallel rank/level kernels.
+// runtime itself (chunk coverage, exception propagation, nested regions)
+// and of the wave-parallel rank/level kernels.
 //
 // The suites are named Parallel* so the CI ThreadSanitizer job's -R filter
 // picks them up: the fork-join handshake of TaskPool runs under TSan here.
@@ -77,40 +77,6 @@ TEST(ParallelRuntime, ForRangeRespectsGrain) {
     EXPECT_EQ(end, 100);
   });
   EXPECT_EQ(chunks.load(), 1) << "n < 2 * grain must run as one inline chunk";
-}
-
-TEST(ParallelRuntime, MapReduceMatchesSerialSum) {
-  constexpr std::int64_t kN = 100'000;
-  std::int64_t expected = 0;
-  for (std::int64_t i = 0; i < kN; ++i) expected += i * i % 1'000'003;
-  for (const std::int64_t lanes : kLaneSweep) {
-    const std::int64_t got = Parallel(lanes).map_reduce(
-        kN, 1024, std::int64_t{0},
-        [](std::int64_t begin, std::int64_t end, std::int64_t& acc) {
-          for (std::int64_t i = begin; i < end; ++i) acc += i * i % 1'000'003;
-        },
-        [](std::int64_t& into, const std::int64_t& from) { into += from; });
-    EXPECT_EQ(got, expected) << "lanes=" << lanes;
-  }
-}
-
-TEST(ParallelRuntime, MapReduceCombinesInAscendingChunkOrder) {
-  // A non-commutative reduction (sequence concatenation) observes the
-  // combine order directly: the documented contract is ascending chunk
-  // order, which must reassemble [0, n) exactly.
-  constexpr std::int64_t kN = 4096;
-  const std::vector<std::int64_t> got = Parallel(8).map_reduce(
-      kN, 64, std::vector<std::int64_t>{},
-      [](std::int64_t begin, std::int64_t end, std::vector<std::int64_t>& acc) {
-        for (std::int64_t i = begin; i < end; ++i) acc.push_back(i);
-      },
-      [](std::vector<std::int64_t>& into, const std::vector<std::int64_t>& from) {
-        into.insert(into.end(), from.begin(), from.end());
-      });
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "combine order broke at " << i;
-  }
 }
 
 TEST(ParallelRuntime, ExceptionPropagatesAndPoolStaysUsable) {

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "fuzz_specs.hpp"
+#include "graph/algorithms.hpp"
+#include "ml/models.hpp"
 #include "paper_examples.hpp"
+#include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts {
@@ -179,6 +189,316 @@ TEST(PartitionIsValid, DetectsCorruptAssignments) {
     backwards.block_of[0] = 1;
     EXPECT_FALSE(partition_is_valid(g, backwards, 8));
   }
+}
+
+// ------------------------------------------ differential vs a full scan
+
+/// The three partitioners a differential case compares.
+enum class Partitioner { kLTS, kRLX, kWork };
+
+const char* to_string(Partitioner which) {
+  switch (which) {
+    case Partitioner::kLTS: return "SB-LTS";
+    case Partitioner::kRLX: return "SB-RLX";
+    case Partitioner::kWork: return "by-work";
+  }
+  return "?";
+}
+
+/// Alg. 1 (SB-LTS, SB-RLX) and Alg. 2 as a plain full scan: every pick
+/// rescans the whole ready set and recomputes each candidate's source-volume
+/// bound over its in-edges, O(N x ready width x in-degree). It is the
+/// library's serial loop from before its ready sets became heaps, kept here
+/// as their oracle.
+SpatialPartition full_scan_partition(const TaskGraph& graph, std::int64_t num_pes,
+                                     Partitioner which, const std::vector<Rational>& level,
+                                     const CanonicalPartitionIndex& index) {
+  constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
+  const std::size_t n = graph.node_count();
+  SpatialPartition out;
+  out.block_of.assign(n, -1);
+  std::vector<std::size_t> pending(n);
+  std::vector<std::int64_t> chain(n, kUnbounded);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    pending[static_cast<std::size_t>(v)] = graph.in_degree(v);
+  }
+  std::vector<NodeId> ready;
+  std::int32_t open = -1;
+
+  std::function<void(NodeId)> make_ready;
+  const auto release = [&](NodeId v) {
+    for (const EdgeId e : graph.out_edges(v)) {
+      const NodeId w = graph.edge(e).dst;
+      if (--pending[static_cast<std::size_t>(w)] == 0) make_ready(w);
+    }
+  };
+  make_ready = [&](NodeId v) {
+    if (graph.kind(v) == NodeKind::kBuffer) {
+      release(v);  // buffers are absorbed, never placed
+    } else {
+      ready.push_back(v);
+    }
+  };
+  const auto bound_of = [&](NodeId v) {
+    std::int64_t bound = kUnbounded;
+    for (const EdgeId e : graph.in_edges(v)) {
+      const NodeId u = graph.edge(e).src;
+      if (graph.kind(u) == NodeKind::kBuffer) continue;
+      if (open >= 0 && out.block_of[static_cast<std::size_t>(u)] == open) {
+        bound = std::min(bound, chain[static_cast<std::size_t>(u)]);
+      }
+    }
+    return bound;
+  };
+  const auto lv = [&](NodeId v) { return level[static_cast<std::size_t>(v)]; };
+  const auto rk = [&](NodeId v) { return index.rank[static_cast<std::size_t>(v)]; };
+  const auto eligible_beats = [&](NodeId v, NodeId b) {
+    if (b == kInvalidNode) return true;
+    if (lv(v) != lv(b)) return lv(v) < lv(b);
+    if (graph.output_volume(v) != graph.output_volume(b)) {
+      return graph.output_volume(v) < graph.output_volume(b);
+    }
+    return rk(v) < rk(b);
+  };
+  const auto relaxed_beats = [&](NodeId v, NodeId b) {
+    if (b == kInvalidNode) return true;
+    if (graph.output_volume(v) != graph.output_volume(b)) {
+      return graph.output_volume(v) < graph.output_volume(b);
+    }
+    if (lv(v) != lv(b)) return lv(v) < lv(b);
+    return rk(v) < rk(b);
+  };
+  const auto heavier_beats = [&](NodeId v, NodeId b) {
+    if (b == kInvalidNode) return true;
+    if (graph.work(v) != graph.work(b)) return graph.work(v) > graph.work(b);
+    if (lv(v) != lv(b)) return lv(v) < lv(b);
+    return rk(v) < rk(b);
+  };
+
+  for (std::int32_t c = 0; c < index.count; ++c) {
+    std::size_t left = 0;
+    for (const NodeId v : index.nodes(c)) {
+      if (graph.occupies_pe(v)) ++left;
+      if (pending[static_cast<std::size_t>(v)] == 0) make_ready(v);
+    }
+    while (left > 0) {
+      if (ready.empty()) throw std::logic_error("full scan: no ready node");
+      NodeId best = kInvalidNode;
+      NodeId relaxed = kInvalidNode;
+      for (const NodeId v : ready) {
+        if (which == Partitioner::kWork) {
+          if (heavier_beats(v, best)) best = v;
+          continue;
+        }
+        const std::int64_t bound = bound_of(v);
+        if (bound == kUnbounded || graph.output_volume(v) <= bound) {
+          if (eligible_beats(v, best)) best = v;
+        } else if (which == Partitioner::kRLX && relaxed_beats(v, relaxed)) {
+          relaxed = v;
+        }
+      }
+      if (best == kInvalidNode) best = relaxed;
+      if (best == kInvalidNode) {
+        open = -1;  // SB-LTS: nothing safe to add, seal the block
+        continue;
+      }
+      if (open < 0) {
+        open = static_cast<std::int32_t>(out.blocks.size());
+        out.blocks.emplace_back();
+      }
+      const std::int64_t bound = bound_of(best);
+      chain[static_cast<std::size_t>(best)] =
+          bound == kUnbounded ? graph.output_volume(best) : bound;
+      out.block_of[static_cast<std::size_t>(best)] = open;
+      out.blocks[static_cast<std::size_t>(open)].push_back(best);
+      *std::find(ready.begin(), ready.end(), best) = ready.back();
+      ready.pop_back();
+      --left;
+      release(best);
+      if (static_cast<std::int64_t>(out.blocks[static_cast<std::size_t>(open)].size()) >=
+          num_pes) {
+        open = -1;
+      }
+    }
+    open = -1;  // blocks never span components
+  }
+  return out;
+}
+
+constexpr std::int64_t kDifferentialPes[] = {1, 2, 3, 5, 8, 16, 64};
+
+/// Partitions `graph` at every P of kDifferentialPes with all three
+/// partitioners, and requires the library's blocks and block_of to equal the
+/// full scan's, and every block to lie inside one canonical_partition_index
+/// component (fragment assembly rests on that; partition_is_valid does not
+/// check it). At P = 1 the library canonicalizes on its own; otherwise it
+/// gets the shared index, as the pipeline's fragment path passes one.
+::testing::AssertionResult matches_full_scan(const TaskGraph& graph) {
+  const std::vector<Rational> level = node_levels(graph);
+  const CanonicalPartitionIndex index = canonical_partition_index(graph, level);
+  Workspace ws;
+  for (const std::int64_t pes : kDifferentialPes) {
+    const CanonicalPartitionIndex* given = pes == 1 ? nullptr : &index;
+    for (const Partitioner which : {Partitioner::kLTS, Partitioner::kRLX, Partitioner::kWork}) {
+      ws.arena.reset();
+      const SpatialPartition got =
+          which == Partitioner::kWork
+              ? partition_by_work(graph, pes, &ws, given)
+              : partition_spatial_blocks(graph, pes,
+                                         which == Partitioner::kLTS ? PartitionVariant::kLTS
+                                                                    : PartitionVariant::kRLX,
+                                         &ws, given);
+      const SpatialPartition want = full_scan_partition(graph, pes, which, level, index);
+      if (got.blocks != want.blocks || got.block_of != want.block_of) {
+        std::size_t b = 0;
+        while (b < got.blocks.size() && b < want.blocks.size() && got.blocks[b] == want.blocks[b]) {
+          ++b;
+        }
+        return ::testing::AssertionFailure()
+               << to_string(which) << " at P = " << pes << ": block " << b << " differs ("
+               << got.block_count() << " blocks vs the full scan's " << want.block_count() << ")";
+      }
+      const auto component = [&](NodeId v) {
+        return index.component[static_cast<std::size_t>(v)];
+      };
+      for (std::size_t b = 0; b < got.blocks.size(); ++b) {
+        for (const NodeId v : got.blocks[b]) {
+          if (component(v) != component(got.blocks[b].front())) {
+            return ::testing::AssertionFailure()
+                   << to_string(which) << " at P = " << pes << ": block " << b
+                   << " spans components " << component(got.blocks[b].front()) << " and "
+                   << component(v);
+          }
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Few distinct volumes on even seeds, so (level, volume) ties, which only
+/// the canonical rank breaks, are common; the generators' default range on
+/// odd seeds.
+VolumeDistribution volumes_for(std::uint64_t seed) {
+  return seed % 2 == 0 ? VolumeDistribution{4, 5} : VolumeDistribution{};
+}
+
+/// A copy of `graph` in which about a third of the producers send most of
+/// their out-edges through a fresh buffer node (producer -> buffer ->
+/// consumer, volumes kept), so readiness also propagates through absorbed
+/// buffers and a consumer can have both buffered and direct producers.
+TaskGraph reroute_through_buffers(const TaskGraph& graph, std::uint64_t seed) {
+  Prng rng(seed);
+  const std::size_t n = graph.node_count();
+  TaskGraph out;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    switch (graph.kind(v)) {
+      case NodeKind::kSource: (void)out.add_source(graph.declared_output(v)); break;
+      case NodeKind::kCompute: (void)out.add_compute(); break;
+      case NodeKind::kBuffer: (void)out.add_buffer(); break;
+      case NodeKind::kSink: (void)out.add_sink(); break;
+    }
+    if (graph.kind(v) != NodeKind::kSource && graph.declared_output(v) > 0) {
+      out.declare_output(v, graph.declared_output(v));
+    }
+  }
+  // Each producer is picked with probability 1/3; three in four of a
+  // picked producer's out-edges then go through its buffer, created on the
+  // first of them.
+  std::vector<bool> picked(n, false);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    picked[static_cast<std::size_t>(v)] =
+        graph.kind(v) != NodeKind::kBuffer && rng.uniform_int(0, 2) == 0;
+  }
+  std::vector<NodeId> buffer_of(n, kInvalidNode);
+  for (const Edge& edge : graph.edges()) {
+    const auto src = static_cast<std::size_t>(edge.src);
+    if (!picked[src] || rng.uniform_int(0, 3) == 0) {
+      (void)out.add_edge(edge.src, edge.dst, edge.volume);
+      continue;
+    }
+    if (buffer_of[src] == kInvalidNode) {
+      buffer_of[src] = out.add_buffer();
+      (void)out.add_edge(edge.src, buffer_of[src], edge.volume);
+    }
+    (void)out.add_edge(buffer_of[src], edge.dst, edge.volume);
+  }
+  return out;
+}
+
+TEST(PartitionDifferential, FuzzShapesMatchFullScan) {
+  int graphs = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed, ++graphs) {
+      const TaskGraph graph =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed));
+      ASSERT_TRUE(matches_full_scan(graph)) << "shape " << shape << ", seed " << seed;
+    }
+  }
+  EXPECT_EQ(graphs, 4000);
+}
+
+TEST(PartitionDifferential, TwoComponentGraphsMatchFullScan) {
+  int graphs = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed, ++graphs) {
+    const int shape = static_cast<int>(seed % 4);
+    TaskGraph graph;
+    testing::append_component(
+        graph, make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed)), "a");
+    testing::append_component(
+        graph,
+        make_random_layered(testing::fuzz_spec_for((shape + 1) % 4), seed + 7919,
+                            volumes_for(seed / 2)),
+        "b");
+    ASSERT_TRUE(matches_full_scan(graph)) << "seed " << seed;
+  }
+  EXPECT_EQ(graphs, 2000);
+}
+
+TEST(PartitionDifferential, BufferGraphsMatchFullScan) {
+  int graphs = 0;
+  int with_buffer = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 750; ++seed, ++graphs) {
+      const TaskGraph graph = reroute_through_buffers(
+          make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed)),
+          seed * 4 + static_cast<std::uint64_t>(shape));
+      with_buffer += stats_of(graph).buffer_nodes > 0 ? 1 : 0;
+      ASSERT_TRUE(matches_full_scan(graph)) << "shape " << shape << ", seed " << seed;
+    }
+  }
+  EXPECT_EQ(graphs, 3000);
+  EXPECT_GE(with_buffer, 2000);
+}
+
+TEST(PartitionDifferential, PaperTopologiesMatchFullScan) {
+  int graphs = 0;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    const int scale = static_cast<int>(seed % 4);  // small to paper size
+    for (const TaskGraph& graph :
+         {make_chain(2 + 2 * scale, seed, volumes_for(seed)),
+          make_fft(4 << scale, seed, volumes_for(seed)),
+          make_gaussian_elimination(4 + 4 * scale, seed, volumes_for(seed)),
+          make_cholesky(2 + 2 * scale, seed, volumes_for(seed))}) {
+      ++graphs;
+      ASSERT_TRUE(matches_full_scan(graph)) << "seed " << seed << ", graph " << graphs;
+    }
+  }
+  for (const TaskGraph& graph :
+       {testing::figure6_graph(), testing::figure8_graph(), testing::figure9_graph1(),
+        testing::figure9_graph2(), testing::buffer_split_example(), make_fft(64, 1)}) {
+    ++graphs;
+    ASSERT_TRUE(matches_full_scan(graph)) << "figure graph " << graphs;
+  }
+  EXPECT_EQ(graphs, 1006);
+}
+
+TEST(PartitionDifferential, Resnet50MatchesFullScan) {
+  ASSERT_TRUE(matches_full_scan(build_resnet50(ResNetConfig{})));
+}
+
+TEST(PartitionDifferential, EncoderMatchesFullScan) {
+  ASSERT_TRUE(matches_full_scan(build_transformer_encoder(TransformerConfig{})));
 }
 
 }  // namespace
