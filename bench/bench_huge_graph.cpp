@@ -1,26 +1,23 @@
-// One scheduling request at 10^5..10^6-node scale. Four phases:
+// One scheduling request at 10^5..10^6-node scale, run on the calling
+// thread. Three phases:
 //
-//   identity — full-result fingerprints at lanes {2, 4, auto} x every
-//              registered scheduler on a medium layered graph must equal the
-//              serial fingerprint bit-for-bit. Hard gate on every host: the
-//              parallel paths are only allowed to be faster, never different.
 //   alloc    — arena heap-block audit of one 10^5-node request: scheduling
-//              must cost at most STS_HUGE_MAX_ARENA_BLOCKS (default 64)
-//              arena blocks, i.e. O(log n) heap traffic instead of per-node
-//              allocations. Hard gate on every host.
+//              must cost at most 64 arena blocks, i.e. O(log n) heap traffic
+//              instead of per-node allocations. Hard gate on every host.
 //   latency  — best-of-N streaming-rlx schedule latency on the 10^5-node
-//              graph at 1 lane, gated at 1.0 s on every host: heap-ordered
-//              ready sets keep the partitioner at O((N+E) log N). The
-//              4-lane time is reported beside it, ungated.
-//   mega     — one 10^6-node schedule at auto lanes, reported only; skipped
-//              in smoke mode (STS_BENCH_GRAPHS set) where it would dominate
-//              the job's wall time.
+//              graph, gated at 1.0 s on every host: heap-ordered ready sets
+//              keep the partitioner at O((N+E) log N).
+//   mega     — one 10^6-node schedule, reported only; skipped in smoke mode
+//              (STS_BENCH_GRAPHS set) where it would dominate the job's wall
+//              time.
 //
 // Graphs come from a bounded fan-in layered generator (each node samples a
 // constant number of predecessors), so building a 10^6-node topology is
 // O(nodes), unlike LayeredSpec's per-pair coin flips. Writes
 // BENCH_huge_graph.json; exits non-zero on any gate failure.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,9 +28,7 @@
 
 #include "bench_common.hpp"
 #include "pipeline/registry.hpp"
-#include "pipeline/result_fingerprint.hpp"
 #include "support/arena.hpp"
-#include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -66,35 +61,16 @@ TaskGraph make_huge_layered(int layers, int width, int fan_in, std::uint64_t see
   return canonical_from_topology(static_cast<std::int32_t>(nodes), edges, seed);
 }
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const std::int64_t v = std::atoll(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
-std::uint64_t fingerprint_at(const std::string& scheduler, const TaskGraph& graph,
-                             std::int64_t pes, std::int64_t lanes) {
+double schedule_seconds(const TaskGraph& graph, std::int64_t pes, int repeats) {
   MachineConfig machine;
   machine.num_pes = pes;
-  machine.intra_threads = lanes;
-  return result_fingerprint(schedule_by_name(scheduler, graph, machine));
-}
-
-double schedule_seconds(const TaskGraph& graph, std::int64_t pes, std::int64_t lanes,
-                        int repeats) {
-  MachineConfig machine;
-  machine.num_pes = pes;
-  machine.intra_threads = lanes;
   double best = 0.0;
   for (int r = 0; r < repeats; ++r) {
     const Stopwatch watch;
     const ScheduleResult result = schedule_by_name("streaming-rlx", graph, machine);
     const double t = watch.seconds();
     if (result.makespan <= 0) {
-      std::fprintf(stderr, "huge_graph: non-positive makespan at lanes=%lld\n",
-                   static_cast<long long>(lanes));
+      std::fprintf(stderr, "huge_graph: non-positive makespan\n");
       std::exit(1);
     }
     if (r == 0 || t < best) best = t;
@@ -118,35 +94,8 @@ int main() {
   const unsigned hw = std::thread::hardware_concurrency();
   BenchReport report("huge_graph");
   report.add("hardware_threads", static_cast<std::int64_t>(hw));
-  report.add("pool_workers", static_cast<std::int64_t>(TaskPool::global().worker_count()));
   report.add("smoke", std::string(smoke ? "yes" : "no"));
   bool failed = false;
-
-  // ------------------------------------------------------- phase 1: identity
-  {
-    const TaskGraph medium = make_huge_layered(12, 60, 3, 17);
-    std::int64_t mismatches = 0;
-    std::int64_t combos = 0;
-    for (const std::string& scheduler : SchedulerRegistry::instance().names()) {
-      std::uint64_t serial = 0;
-      try {
-        serial = fingerprint_at(scheduler, medium, 16, 1);
-      } catch (const std::invalid_argument&) {
-        continue;  // scheduler rejects this graph class regardless of lanes
-      }
-      for (const std::int64_t lanes : {2, 4, 0}) {
-        ++combos;
-        if (fingerprint_at(scheduler, medium, 16, lanes) != serial) {
-          ++mismatches;
-          std::fprintf(stderr, "huge_graph: fingerprint mismatch: %s lanes=%lld\n",
-                       scheduler.c_str(), static_cast<long long>(lanes));
-        }
-      }
-    }
-    report.add("identity_combos", combos);
-    report.add("identity_mismatches", mismatches);
-    if (combos < 9 || mismatches != 0) failed = true;
-  }
 
   // ------------------------------------------------- build the 10^5 workload
   const Stopwatch gen_watch;
@@ -155,56 +104,55 @@ int main() {
   report.add("huge_edges", static_cast<std::int64_t>(huge.edge_count()));
   report.add("huge_gen_seconds", gen_watch.seconds());
 
-  // ---------------------------------------------------------- phase 2: alloc
+  // ---------------------------------------------------------- phase 1: alloc
   {
     Arena::set_heap_hook(&count_arena_block);
     g_arena_blocks.store(0);
     g_arena_bytes.store(0);
     MachineConfig machine;
     machine.num_pes = 64;
-    machine.intra_threads = 4;
     const ScheduleResult result = schedule_by_name("streaming-rlx", huge, machine);
     Arena::set_heap_hook(nullptr);
     const std::int64_t blocks = g_arena_blocks.load();
-    const std::int64_t max_blocks = env_int("STS_HUGE_MAX_ARENA_BLOCKS", 64);
+    constexpr std::int64_t kMaxArenaBlocks = 64;
     report.add("alloc_makespan", result.makespan);
     report.add("alloc_arena_blocks", blocks);
     report.add("alloc_arena_bytes", g_arena_bytes.load());
-    report.add("alloc_arena_blocks_max", max_blocks);
-    if (blocks > max_blocks) {
+    report.add("alloc_arena_blocks_max", kMaxArenaBlocks);
+    if (blocks > kMaxArenaBlocks) {
       std::fprintf(stderr,
                    "huge_graph: %lld arena blocks for one request exceeds the %lld bound "
                    "(per-node allocations crept back into a hot path?)\n",
-                   static_cast<long long>(blocks), static_cast<long long>(max_blocks));
+                   static_cast<long long>(blocks), static_cast<long long>(kMaxArenaBlocks));
       failed = true;
     }
   }
 
-  // -------------------------------------------------------- phase 3: latency
+  // -------------------------------------------------------- phase 2: latency
   {
-    const double t1 = schedule_seconds(huge, 64, 1, repeats);
-    const double t4 = schedule_seconds(huge, 64, 4, repeats);
+    const double seconds = schedule_seconds(huge, 64, repeats);
     constexpr double kMaxSeconds = 1.0;
-    report.add("latency_seconds_1lane", t1);
-    report.add("latency_seconds_4lane", t4);
+    report.add("latency_seconds", seconds);
     report.add("latency_seconds_max", kMaxSeconds);
-    std::printf("huge_graph: %lld nodes, 1-lane %.3fs (bound %.2fs), 4-lane %.3fs (ungated)\n",
-                static_cast<long long>(huge.node_count()), t1, kMaxSeconds, t4);
-    if (t1 > kMaxSeconds) {
-      std::fprintf(stderr, "huge_graph: 1-lane %.3fs exceeds the %.2fs bound\n", t1,
-                   kMaxSeconds);
+    std::printf("huge_graph: %lld nodes, %.3fs (bound %.2fs)\n",
+                static_cast<long long>(huge.node_count()), seconds, kMaxSeconds);
+    if (seconds > kMaxSeconds) {
+      std::fprintf(stderr, "huge_graph: %.3fs exceeds the %.2fs bound\n", seconds, kMaxSeconds);
       failed = true;
     }
   }
 
-  // ----------------------------------------------------------- phase 4: mega
+  // ----------------------------------------------------------- phase 3: mega
   if (!smoke) {
     const Stopwatch mega_gen;
     const TaskGraph mega = make_huge_layered(100, 10'000, 3, 29);
     report.add("mega_nodes", static_cast<std::int64_t>(mega.node_count()));
     report.add("mega_edges", static_cast<std::int64_t>(mega.edge_count()));
     report.add("mega_gen_seconds", mega_gen.seconds());
-    report.add("mega_seconds_auto", schedule_seconds(mega, 256, 0, 1));
+    const double seconds = schedule_seconds(mega, 256, 1);
+    report.add("mega_seconds", seconds);
+    std::printf("huge_graph: %lld nodes, %.3fs (reported only)\n",
+                static_cast<long long>(mega.node_count()), seconds);
   }
 
   report.add("status", std::string(failed ? "fail" : "ok"));

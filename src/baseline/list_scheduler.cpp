@@ -8,41 +8,25 @@
 namespace sts {
 
 std::vector<std::int64_t> bottom_levels(const TaskGraph& graph) {
-  return bottom_levels(graph, nullptr);
-}
-
-std::vector<std::int64_t> bottom_levels(const TaskGraph& graph, Workspace* ws) {
   std::vector<std::int64_t> bl(graph.node_count(), 0);
-  // Reverse Kahn waves: every successor of a node sits in a strictly earlier
-  // wave, so each wave's ranks are independent and a parallel sweep writes
-  // exactly the serial values (exact int64 arithmetic, disjoint slots).
+  // Reverse Kahn waves: every successor of a node is ranked before it.
   const TopoWaves waves = topological_waves(graph, /*reverse=*/true);
-  const Parallel parallel = ws ? ws->parallel : Parallel();
-  for (std::size_t w = 0; w + 1 < waves.offsets.size(); ++w) {
-    const std::size_t begin = waves.offsets[w];
-    const std::size_t end = waves.offsets[w + 1];
-    parallel.for_range(static_cast<std::int64_t>(end - begin), 128,
-                       [&](std::int64_t lo, std::int64_t hi) {
-                         for (std::int64_t i = lo; i < hi; ++i) {
-                           const NodeId v = waves.order[begin + static_cast<std::size_t>(i)];
-                           std::int64_t succ_max = 0;
-                           for (const EdgeId e : graph.out_edges(v)) {
-                             succ_max = std::max(
-                                 succ_max, bl[static_cast<std::size_t>(graph.edge(e).dst)]);
-                           }
-                           bl[static_cast<std::size_t>(v)] = graph.work(v) + succ_max;
-                         }
-                       });
+  for (const NodeId v : waves.order) {
+    std::int64_t succ_max = 0;
+    for (const EdgeId e : graph.out_edges(v)) {
+      succ_max = std::max(succ_max, bl[static_cast<std::size_t>(graph.edge(e).dst)]);
+    }
+    bl[static_cast<std::size_t>(v)] = graph.work(v) + succ_max;
   }
   return bl;
 }
 
-ListSchedule schedule_non_streaming(const TaskGraph& graph, std::int64_t num_pes, Workspace* ws) {
+ListSchedule schedule_non_streaming(const TaskGraph& graph, std::int64_t num_pes) {
   if (num_pes <= 0) throw std::invalid_argument("schedule_non_streaming: num_pes must be > 0");
   ListSchedule sched;
   sched.entries.assign(graph.node_count(), ListScheduleEntry{});
 
-  const std::vector<std::int64_t> bl = bottom_levels(graph, ws);
+  const std::vector<std::int64_t> bl = bottom_levels(graph);
   std::vector<NodeId> order = topological_order(graph);
   std::vector<std::size_t> topo_pos(graph.node_count());
   for (std::size_t i = 0; i < order.size(); ++i) {

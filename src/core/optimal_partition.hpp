@@ -26,15 +26,9 @@ struct OptimalPartitionResult {
 /// small graphs — it exists to measure how far the SB-LTS/SB-RLX greedy
 /// heuristics are from the true optimum. `max_candidates` bounds the number
 /// of complete partitions evaluated; when the bound trips, `exhausted` is
-/// false and the result is the best partition seen so far.
-///
-/// With a Workspace, complete candidates are collected into batches whose
-/// streaming makespans are evaluated in parallel (each evaluation is pure);
-/// the best-so-far scan then runs serially in enumeration order, so the
-/// winner — first strict minimum — is identical to the serial search at
-/// every lane count.
+/// false and the result is the best partition seen so far. Ties keep the
+/// first partition enumerated.
 [[nodiscard]] OptimalPartitionResult optimal_partition_exhaustive(
-    const TaskGraph& graph, std::int64_t num_pes, std::int64_t max_candidates = 2'000'000,
-    Workspace* ws = nullptr);
+    const TaskGraph& graph, std::int64_t num_pes, std::int64_t max_candidates = 2'000'000);
 
 }  // namespace sts

@@ -227,7 +227,7 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph, &work);
+  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph, level);
@@ -290,7 +290,7 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph, &work);
+  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph, level);

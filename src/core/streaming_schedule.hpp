@@ -45,9 +45,9 @@ struct StreamingSchedule {
 /// Runs in O(N + E) total across all blocks: each block only visits its
 /// active set (members plus the buffers feeding them) with a block-local
 /// stream-context computation over persistent arena scratch, instead of
-/// rescanning the whole graph per block. A Workspace supplies that arena
-/// (and the wave-parallel node-level phase upstream); pass nullptr for a
-/// self-contained local workspace. Results are identical either way.
+/// rescanning the whole graph per block. A Workspace supplies that arena;
+/// pass nullptr for a self-contained local workspace. Results are identical
+/// either way.
 [[nodiscard]] StreamingSchedule schedule_streaming(const TaskGraph& graph,
                                                    SpatialPartition partition,
                                                    Workspace* ws = nullptr);

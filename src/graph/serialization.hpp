@@ -45,7 +45,7 @@ void save_task_graph(std::ostream& output, const TaskGraph& graph);
 /// on every (including cache-hit) scheduling query, so it is written into
 /// one pre-sized buffer from the flat node and edge arrays alone: keying a
 /// freshly copied or parsed graph never builds its CSR. Like the text and
-/// JSON writers, it calls no CSR accessor (lint rule 7).
+/// JSON writers, it calls no CSR accessor (lint rule 6).
 [[nodiscard]] std::string canonical_fingerprint(const TaskGraph& graph);
 
 /// Appends canonical_fingerprint(graph) to `out` — how a caller building a

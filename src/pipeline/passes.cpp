@@ -84,7 +84,7 @@ void PlacementPass::run(ScheduleContext& ctx) const {
 }
 
 void ListSchedulePass::run(ScheduleContext& ctx) const {
-  ctx.list = schedule_non_streaming(ctx.require_graph(), ctx.machine.num_pes, ctx.workspace.get());
+  ctx.list = schedule_non_streaming(ctx.require_graph(), ctx.machine.num_pes);
   ctx.makespan = ctx.list->makespan;
 }
 
@@ -92,7 +92,7 @@ void HeftPass::run(ScheduleContext& ctx) const {
   const HeterogeneousSystem system =
       ctx.machine.pe_speed.empty() ? HeterogeneousSystem::homogeneous(ctx.machine.num_pes)
                                    : HeterogeneousSystem{ctx.machine.pe_speed};
-  ctx.list = schedule_heft(ctx.require_graph(), system, ctx.workspace.get());
+  ctx.list = schedule_heft(ctx.require_graph(), system);
   ctx.makespan = ctx.list->makespan;
 }
 
@@ -117,7 +117,7 @@ void MetricsPass::run(ScheduleContext& ctx) const {
     m.utilization = streaming_utilization(g, *ctx.streaming, ctx.machine.num_pes);
   } else if (ctx.list) {
     std::int64_t critical_path = 0;
-    for (const std::int64_t b : bottom_levels(g, ctx.workspace.get())) {
+    for (const std::int64_t b : bottom_levels(g)) {
       critical_path = std::max(critical_path, b);
     }
     if (critical_path > 0) {
@@ -133,12 +133,8 @@ void SimulationPass::run(ScheduleContext& ctx) const {
   if (!ctx.buffers) {
     throw std::logic_error("SimulationPass: buffers missing (run buffer-sizing first)");
   }
-  // The sim options carry the request's lane count (a pure execution knob,
-  // excluded from cache keys on both sides).
-  SimOptions options = options_;
-  options.intra_threads = ctx.machine.intra_threads;
   ctx.sim = simulate_streaming(ctx.require_graph(), ctx.require_streaming(), *ctx.buffers,
-                               options);
+                               options_);
 }
 
 void SimulationPass::validate(const ScheduleContext& ctx) const {

@@ -36,15 +36,14 @@ struct MachineConfig {
   /// Run the NoC placement pass (greedy mesh placement) after scheduling.
   bool place_on_mesh = false;
 
-  /// Execution lanes for the scheduler's internal loops (1 = serial,
-  /// 0 = hardware threads, N = up to N lanes). A pure execution knob —
-  /// results are bit-identical at every value — so it is NOT part of
-  /// cache_key(): a request answered at one lane count is a valid cache hit
-  /// for any other.
-  std::int64_t intra_threads = 1;
+  /// Always 1: every request runs on the thread that serves it. This
+  /// constant and Workspace's ignored-argument constructor stay only because
+  /// perfbench/src/common.cpp builds `Workspace(machine.intra_threads)`; a
+  /// benchmark change that drops that argument lets both go.
+  static constexpr std::int64_t intra_threads = 1;
 
   /// Canonical text form of every result-affecting field, used as part of
-  /// cache keys (intra_threads is deliberately excluded, see above).
+  /// cache keys.
   [[nodiscard]] std::string cache_key() const;
 };
 
@@ -76,10 +75,9 @@ struct ScheduleContext {
   /// `graph`. Null means PartitionPass canonicalizes the graph itself.
   const CanonicalPartitionIndex* canon = nullptr;
 
-  /// Per-request execution resources (arena scratch + parallel lanes per
-  /// machine.intra_threads), created by Scheduler::schedule and threaded
+  /// Per-request arena scratch, created by Scheduler::schedule and threaded
   /// into the pass implementations. Shared-ptr so contexts stay copyable;
-  /// passes treat a null workspace as "serial, local scratch".
+  /// passes treat a null workspace as "local scratch".
   std::shared_ptr<Workspace> workspace;
 
   // Artifacts, in pipeline order.

@@ -209,10 +209,6 @@ std::string ScheduleRequest::to_json() const {
     out += ", \"admission\": ";
     append_json_quoted(out, to_string(admission));
   }
-  if (intra_threads) {
-    out += ", \"intra_threads\": ";
-    append_number(out, *intra_threads);
-  }
   if (priority != 0) {
     out += ", \"priority\": ";
     append_number(out, priority);
@@ -229,7 +225,7 @@ ScheduleRequest ScheduleRequest::from_json(std::string_view text) {
   const JsonDocument json = parse_json(text);
   reject_unknown(json,
                  {"schema_version", "scheduler", "machine", "graph", "base_key", "edits",
-                  "sim", "admission", "intra_threads", "priority", "label"},
+                  "sim", "admission", "priority", "label"},
                  "request");
 
   ScheduleRequest request;
@@ -280,12 +276,6 @@ ScheduleRequest ScheduleRequest::from_json(std::string_view text) {
     } else {
       fail("unknown admission policy '" + std::string(name) + "'");
     }
-  }
-
-  if (const JsonValue* threads = json.find("intra_threads")) {
-    const std::int64_t lanes = threads->as_int();
-    if (lanes < 0) fail("intra_threads must be >= 0 (0 = auto)");
-    request.intra_threads = lanes;
   }
 
   if (const JsonValue* priority = json.find("priority")) {

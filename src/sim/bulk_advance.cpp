@@ -37,7 +37,6 @@
 
 #include "sim/dataflow_sim.hpp"
 #include "sim/sim_internal.hpp"
-#include "support/parallel.hpp"
 
 namespace sts::sim_detail {
 
@@ -112,8 +111,6 @@ SimResult simulate_bulk_advance(const TaskGraph& graph, const StreamingSchedule&
   std::int64_t history_start = 1;  // first tick with a valid ring entry
   std::int64_t next_try = 0;
   std::vector<std::int64_t> candidates;
-  std::vector<std::uint8_t> candidate_pass;
-  const Parallel parallel(options.intra_threads);
 
   // Epoch-tagged scratch for period verification.
   std::vector<std::int64_t> dc(n, 0), dp(n, 0), last_move(n, 0);
@@ -128,8 +125,7 @@ SimResult simulate_bulk_advance(const TaskGraph& graph, const StreamingSchedule&
 
   // Exact equality of the two adjacent windows of length `period` (hash
   // first, then the action lists themselves, so hash collisions cannot
-  // corrupt results). Read-only, so many candidate periods can be screened
-  // concurrently.
+  // corrupt results).
   const auto periods_equal = [&](std::int64_t period) -> bool {
     for (std::int64_t i = 0; i < period; ++i) {
       const auto a = static_cast<std::size_t>((now - i) % static_cast<std::int64_t>(kWindow));
@@ -460,38 +456,14 @@ SimResult simulate_bulk_advance(const TaskGraph& graph, const StreamingSchedule&
           }
         }
         std::sort(candidates.begin(), candidates.end());
-        const bool had_candidates = !candidates.empty();
-        const std::int64_t shortest = had_candidates ? candidates.front() : 0;
-        if (parallel.lanes() > 1 && candidates.size() >= 4) {
-          // Parallel prefilter: screen every candidate with the read-only
-          // window-equality check at once, then run the (state-mutating)
-          // jump attempts on the survivors, still shortest-first. A filtered
-          // candidate would have failed attempt_jump in its first phase
-          // without mutating anything, so results are bit-identical to the
-          // serial shortest-first scan.
-          candidate_pass.assign(candidates.size(), 0);
-          parallel.for_range(static_cast<std::int64_t>(candidates.size()), 1,
-                             [&](std::int64_t lo, std::int64_t hi) {
-                               for (std::int64_t i = lo; i < hi; ++i) {
-                                 const auto ci = static_cast<std::size_t>(i);
-                                 candidate_pass[ci] = periods_equal(candidates[ci]) ? 1 : 0;
-                               }
-                             });
-          std::size_t out = 0;
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (candidate_pass[i] != 0) candidates[out++] = candidates[i];
-          }
-          candidates.resize(out);
-        }
         for (const std::int64_t period : candidates) {
           if (attempt_jump(period)) {
             jumped = true;
             break;
           }
         }
-        // The retry pacing uses the shortest *viable* period, exactly as the
-        // unfiltered scan would.
-        if (!jumped && had_candidates) next_try = now + shortest;
+        // The retry pacing uses the shortest viable period.
+        if (!jumped && !candidates.empty()) next_try = now + candidates.front();
       }
     }
     // A successful jump cleared the hash history; this tick belongs to it.

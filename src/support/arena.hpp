@@ -12,7 +12,7 @@ namespace sts {
 
 /// Bump allocator over geometrically growing heap blocks.
 ///
-/// The scheduler hot paths (partitioner ready heaps, level-wave scratch,
+/// The scheduler hot paths (partitioner ready heaps and builder scratch,
 /// per-block streaming contexts) need O(n) scratch arrays per request but
 /// must not pay one heap allocation per node or per loop iteration. An Arena
 /// hands out pointer-bump slices from a small number of large blocks —

@@ -6,8 +6,8 @@
 /// Clang Thread Safety Analysis attribute macros plus annotated lock shims.
 ///
 /// Every mutex-holding component in the serving stack (ScheduleCache,
-/// SubgraphCache, PartitionCanonMemo, ScheduleService, TaskPool, TaskGraph's
-/// CSR rebuild) declares which members each lock protects
+/// SubgraphCache, PartitionCanonMemo, ScheduleService, TaskGraph's CSR
+/// rebuild) declares which members each lock protects
 /// (GUARDED_BY) and which capabilities each method needs (REQUIRES) or takes
 /// (ACQUIRE/RELEASE/EXCLUDES), so lock discipline is a *compile-time*
 /// property: `-DSTS_THREAD_SAFETY_ANALYSIS=ON` builds with

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/streaming_scheduler.hpp"
@@ -8,6 +10,7 @@
 #include "pipeline/pipeline.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_cache.hpp"
+#include "sim/dataflow_sim.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts {
@@ -269,6 +272,24 @@ TEST(Pipeline, PlacementPassRunsWhenRequested) {
   const ScheduleResult r = schedule_by_name("streaming-rlx", g, machine);
   ASSERT_TRUE(r.placement.has_value());
   EXPECT_EQ(r.placement->mesh_pe.size(), g.node_count());
+}
+
+TEST(Pipeline, RequestsRunOnTheCallingThread) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::is_directory(tasks)) GTEST_SKIP() << "no /proc/self/task";
+  const auto thread_count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const TaskGraph g = make_gaussian_elimination(8, 3);
+  const auto before = thread_count();
+  const ScheduleResult r = schedule_by_name("streaming-rlx", g, machine_with(8));
+  EXPECT_LE(thread_count(), before) << "schedule_by_name started a thread";
+  SimOptions options;
+  options.engine = SimEngine::kBulkAdvance;
+  const SimResult sim = simulate_streaming(g, *r.streaming, *r.buffers, options);
+  EXPECT_FALSE(sim.deadlocked);
+  EXPECT_LE(thread_count(), before) << "simulate_streaming started a thread";
 }
 
 // ------------------------------------------------------------------- cache

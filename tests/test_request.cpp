@@ -230,6 +230,7 @@ TEST(ScheduleRequestJson, MalformedEnvelopesAreRejected) {
       R"({"schema_version": 1, "scheduler": "s", "graph": {"generator": "fft", "param": 17, "seed": 1}})",
       R"({"schema_version": 1, "scheduler": "s", "graph": {"generator": "fft", "param": 16, "seed": -1}})",
       R"({"schema_version": 1, "scheduler": "s", "graph": {"nodes": [], "edges": []}, "priority": 1.5})",
+      R"({"schema_version": 1, "scheduler": "s", "graph": {"nodes": [], "edges": []}, "intra_threads": 4})",
       R"({"schema_version": 1, "scheduler": "s", "graph": {"nodes": [], "edges": []}, "admission": "maybe"})",
       R"({"schema_version": 1, "scheduler": "s", "graph": {"nodes": [], "edges": []}, "sim": {"engine": "warp"}})",
       R"({"schema_version": 1, "scheduler": "s", "graph": {"nodes": [], "edges": []}, "sim": {"max_ticks": 0}})",

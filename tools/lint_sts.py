@@ -4,13 +4,7 @@
 Run from anywhere: `python3 tools/lint_sts.py`. Exits non-zero listing every
 violation. Enforced rules:
 
- 1. `intra_threads` is a pure execution knob: it must never appear inside a
-    cache-key code path (any function in KEY_FUNC_NAMES: `key`, `cache_key`,
-    the canonical cache-key and fingerprint writers, and the key hash and
-    digest) — results are bit-identical at every lane count, so letting it
-    into a key would silently split the cache.
-
- 2. The README stats table (headed `| counter | meaning |`) and the stats
+ 1. The README stats table (headed `| counter | meaning |`) and the stats
     list (`for_each_stats_counter` in src/service/backend.hpp, which drives
     rendering, parsing and summing of the /stats document) agree both ways:
     every listed counter has a row, since a counter missing from the README
@@ -19,14 +13,14 @@ violation. Enforced rules:
     by a deleted counter documents a key the document no longer carries.
     (The build checks the list itself against the Stats structs.)
 
- 3. `sim/sim_internal.hpp` is private to src/sim/ — the simulator's internal
+ 2. `sim/sim_internal.hpp` is private to src/sim/ — the simulator's internal
     event structures are not a public seam.
 
- 4. Every bench/bench_*.cpp emits its BENCH_<name>.json report (CI archives
+ 3. Every bench/bench_*.cpp emits its BENCH_<name>.json report (CI archives
     these; perf gates read them), via BenchReport("<name>") or a literal
     "BENCH_<name>.json" write.
 
- 5. A request key is hashed once, where ScheduleRequest memoizes it: no code
+ 4. A request key is hashed once, where ScheduleRequest memoizes it: no code
     in src/service/ or src/net/ passes a request key (`key`, `key_`,
     `release_key`, ...) to fnv1a64 — routing, shard picks, and cache probes
     reuse `key_hash()`, since one pass over a 10^5-node request's key costs
@@ -34,16 +28,16 @@ violation. Enforced rules:
     (`backend_for_key`, which has no request to read a hash from) are the
     allowlisted sites.
 
- 6. One outcome type crosses threads: in src/service/, src/net/ and
+ 5. One outcome type crosses threads: in src/service/, src/net/ and
     src/pipeline/ every `std::promise`, `std::future` and
-    `std::shared_future` carries `ScheduleResponse`, and no
-    `std::exception_ptr`, `set_exception` or `rethrow_exception` appears.
-    Errors cross thread boundaries as values: a stored exception rethrown on
+    `std::shared_future` carries `ScheduleResponse`, and nowhere in src/
+    does a `std::exception_ptr`, `set_exception` or `rethrow_exception`
+    appear. Errors cross thread boundaries as values: a stored exception rethrown on
     another thread is refcounted inside uninstrumented runtime code, which
     ThreadSanitizer reports as a false data race, and a second outcome type
     would need its own converters to the one the callers and the wire see.
 
- 7. The key and wire writers read only a graph's flat node and edge arrays:
+ 6. The key and wire writers read only a graph's flat node and edge arrays:
     the bodies of FLAT_WRITERS (the request-key fingerprint, the cache-key
     writer, the JSON and text writers), and of every function defined in the
     same file that they call, directly or through each other, call none of
@@ -62,18 +56,6 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 BENCH = REPO / "bench"
 README = REPO / "README.md"
-
-KEY_FUNC_NAMES = (
-    "key",
-    "cache_key",
-    "canonical_cache_key",
-    "append_canonical_cache_key",
-    "canonical_fingerprint",
-    "append_canonical_fingerprint",
-    "key_hash",
-    "key_digest",
-)
-
 
 def fail(errors: list[str], message: str) -> None:
     errors.append(message)
@@ -126,18 +108,6 @@ def bracketed(text: str, start: int, pair: str = "()") -> str:
             if depth == 0:
                 return text[start + 1 : i]
     return text[start + 1 :]
-
-
-def check_intra_threads_out_of_keys(errors: list[str]) -> None:
-    for path in sorted(SRC.rglob("*.[ch]pp")):
-        text = strip_comments(path.read_text())
-        for name, body in function_bodies(text, KEY_FUNC_NAMES):
-            if "intra_threads" in body:
-                fail(
-                    errors,
-                    f"{path.relative_to(REPO)}: {name}() mentions intra_threads — "
-                    "execution knobs must never reach cache-key code paths",
-                )
 
 
 # Rows of the README stats table that are gauges of the stats document
@@ -264,10 +234,10 @@ OUTCOME_DIRS = ("service", "net", "pipeline")
 
 
 def check_one_outcome_type(errors: list[str]) -> None:
-    for directory in OUTCOME_DIRS:
-        for path in sorted((SRC / directory).rglob("*.[ch]pp")):
-            rel = path.relative_to(REPO).as_posix()
-            text = strip_comments(path.read_text())
+    for path in sorted(SRC.rglob("*.[ch]pp")):
+        rel = path.relative_to(REPO).as_posix()
+        text = strip_comments(path.read_text())
+        if any(path.is_relative_to(SRC / directory) for directory in OUTCOME_DIRS):
             for match in re.finditer(r"\bstd::(promise|future|shared_future)\s*<", text):
                 argument = " ".join(bracketed(text, match.end() - 1, "<>").split())
                 if argument.removeprefix("sts::") != "ScheduleResponse":
@@ -277,13 +247,13 @@ def check_one_outcome_type(errors: list[str]) -> None:
                         f"{rel}:{line}: std::{match.group(1)}<{argument}> — settle futures "
                         "with ScheduleResponse, the one outcome type that crosses threads",
                     )
-            for match in re.finditer(r"\b(exception_ptr|set_exception|rethrow_exception)\b", text):
-                line = text.count("\n", 0, match.start()) + 1
-                fail(
-                    errors,
-                    f"{rel}:{line}: {match.group(1)} — errors cross threads as "
-                    "ScheduleResponse values, never as stored exceptions",
-                )
+        for match in re.finditer(r"\b(exception_ptr|set_exception|rethrow_exception)\b", text):
+            line = text.count("\n", 0, match.start()) + 1
+            fail(
+                errors,
+                f"{rel}:{line}: {match.group(1)} — errors cross threads as "
+                "ScheduleResponse values, never as stored exceptions",
+            )
 
 
 FLAT_WRITERS = (
@@ -342,7 +312,6 @@ def check_writers_read_flat_arrays(errors: list[str]) -> None:
 
 def main() -> int:
     errors: list[str] = []
-    check_intra_threads_out_of_keys(errors)
     check_stats_documented(errors)
     check_sim_internal_private(errors)
     check_bench_reports(errors)
