@@ -9,7 +9,7 @@
 //                    [--simulate] [--sim-engine bulk|tick] [--timings]
 //   sts_schedule_cli sweep <scenario-file|-> [--threads N] [--cache-capacity N]
 //                    [--repeat K] [--queue-depth N] [--backends N] [--spawn]
-//                    [--simulate] [--sim-engine bulk|tick] [--incremental]
+//                    [--simulate] [--sim-engine bulk|tick]
 //   sts_schedule_cli --list-schedulers
 //
 // `--variant X` is shorthand for `--scheduler streaming-X`.
@@ -46,10 +46,10 @@
 // `base_key` may name an earlier scenario line's label instead of a 16-hex
 // digest; the sweep resolves it to that scenario's key_digest() before
 // submitting (deltas themselves cannot be targets — their graph only
-// materializes inside the service). `--incremental` turns on subgraph-level
-// schedule memoization in the serving stack (per-partition fragment reuse
-// across near-duplicate and delta requests); without it the sweep serves
-// whole-graph cache entries only. A line that is not a valid envelope gets
+// materializes inside the service). Under the whole-graph cache, every
+// backend composes a multi-partition graph from cached per-partition
+// fragments, so near-duplicate and delta requests reschedule only the
+// partitions they changed. A line that is not a valid envelope gets
 // an error record (scenario label "request <line>", no pes or scheduler)
 // and makes the sweep exit 1; the other lines are still served.
 // `--repeat K` submits the list K times (duplicates shard onto the worker
@@ -77,7 +77,6 @@
 #include "net/server_process.hpp"
 #include "pipeline/registry.hpp"
 #include "pipeline/schedule_cache.hpp"
-#include "pipeline/subgraph_cache.hpp"
 #include "service/request.hpp"
 #include "service/schedule_service.hpp"
 #include "service/shard_router.hpp"
@@ -96,7 +95,7 @@ int usage(const char* argv0) {
             << argv0
             << " sweep <scenario-file|-> [--threads N] [--cache-capacity N] [--repeat K]\n"
                "                        [--queue-depth N] [--backends N] [--spawn]\n"
-               "                        [--simulate] [--sim-engine bulk|tick] [--incremental]\n"
+               "                        [--simulate] [--sim-engine bulk|tick]\n"
                "       "
             << argv0 << " --list-schedulers\n";
   return 2;
@@ -186,7 +185,6 @@ int run_sweep(int argc, char** argv) {
   bool spawn = false;        // with --backends: real sts-serve child processes
   int repeat = 1;
   bool simulate = false;
-  bool incremental = false;
   SimOptions sim_options;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -210,8 +208,6 @@ int run_sweep(int argc, char** argv) {
         if (repeat < 1) throw std::invalid_argument("--repeat must be >= 1");
       } else if (arg == "--simulate") {
         simulate = true;
-      } else if (arg == "--incremental") {
-        incremental = true;
       } else if (arg == "--sim-engine") {
         const std::string which = next();
         if (which == "bulk") {
@@ -278,9 +274,6 @@ int run_sweep(int argc, char** argv) {
   config.num_workers = threads;
   config.cache_capacity = cache_capacity;
   config.queue_depth = queue_depth;
-  // Off by default in the sweep so plain runs serve the exact whole-graph
-  // cache path; --incremental layers per-partition fragment reuse under it.
-  config.subgraph_cache_capacity = incremental ? SubgraphCache::kDefaultCapacity : 0;
   if (spawn && backends == 0) {
     std::cerr << "error: --spawn requires --backends N\n";
     return 2;
@@ -311,7 +304,6 @@ int run_sweep(int argc, char** argv) {
         }
         child_args.insert(child_args.end(),
                           {"--cache-capacity", std::to_string(cache_capacity)});
-        if (incremental) child_args.push_back("--incremental");
         servers.reserve(backends);
         for (std::size_t b = 0; b < backends; ++b) {
           servers.push_back(std::make_unique<ServerProcess>(binary, child_args));
@@ -410,8 +402,7 @@ int run_sweep(int argc, char** argv) {
       "\"bench\": \"sweep\", \"wall_seconds\": " + fmt(seconds, 6) +
       ", \"jobs_per_second\": " + fmt(stats.submitted / seconds, 1) +
       ", \"scenarios\": " + std::to_string(scenarios.size()) +
-      ", \"rounds\": " + std::to_string(repeat) +
-      ", \"incremental\": " + (incremental ? "1" : "0");
+      ", \"rounds\": " + std::to_string(repeat);
   std::string stats_line = router ? router->stats_json() : service->stats_json();
   if (!stats_line.empty() && stats_line.front() == '{') {
     stats_line.insert(1, sweep_fields + ", ");

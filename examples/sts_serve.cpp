@@ -5,7 +5,7 @@
 //
 // Usage:
 //   sts_serve [--port N] [--host ADDR] [--threads N] [--queue-depth N]
-//             [--cache-capacity N] [--incremental] [--responders N]
+//             [--cache-capacity N]
 //
 //   --port N            TCP port; 0 (default) picks an ephemeral port
 //   --host ADDR         bind address, default 127.0.0.1 (loopback only: the
@@ -14,8 +14,10 @@
 //   --queue-depth N     per-worker queue bound (0 = unbounded); required for
 //                       envelopes carrying "admission": "reject" to reject
 //   --cache-capacity N  result-cache capacity
-//   --incremental       enable subgraph-level schedule memoization
-//   --responders N      server responder threads, 0 = one per service worker
+//
+// The server runs one responder thread per service worker, and the service
+// composes a multi-partition graph from cached per-partition fragments
+// (pipeline/subgraph_cache.hpp) as every ScheduleService does.
 //
 // Startup handshake: exactly one line on stdout,
 //
@@ -37,8 +39,6 @@
 #include <string>
 
 #include "net/sts_server.hpp"
-#include "pipeline/schedule_cache.hpp"
-#include "pipeline/subgraph_cache.hpp"
 #include "service/schedule_service.hpp"
 
 namespace {
@@ -46,7 +46,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--port N] [--host ADDR] [--threads N] [--queue-depth N]\n"
-               "                 [--cache-capacity N] [--incremental] [--responders N]\n";
+               "                 [--cache-capacity N]\n";
   return 2;
 }
 
@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
   using namespace sts;
   ServiceConfig service_config;
   ServerConfig server_config;
-  bool incremental = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -76,10 +75,6 @@ int main(int argc, char** argv) {
         service_config.queue_depth = static_cast<std::size_t>(std::stoull(next()));
       } else if (arg == "--cache-capacity") {
         service_config.cache_capacity = static_cast<std::size_t>(std::stoull(next()));
-      } else if (arg == "--incremental") {
-        incremental = true;
-      } else if (arg == "--responders") {
-        server_config.responders = static_cast<std::size_t>(std::stoull(next()));
       } else {
         return usage(argv[0]);
       }
@@ -88,9 +83,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  service_config.subgraph_cache_capacity =
-      incremental ? SubgraphCache::kDefaultCapacity : 0;
-
   // Block the shutdown signals before any thread exists so every thread
   // inherits the mask and sigwait below is the only consumer.
   sigset_t signals;
@@ -111,10 +103,7 @@ int main(int argc, char** argv) {
     std::printf("sts-serve listening on %s:%u\n", server_config.host.c_str(),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
-    std::fprintf(stderr, "sts-serve: %zu workers, %zu responders, pid %ld\n",
-                 service->worker_count(),
-                 server_config.responders == 0 ? service->worker_count()
-                                               : server_config.responders,
+    std::fprintf(stderr, "sts-serve: %zu workers, pid %ld\n", service->worker_count(),
                  static_cast<long>(getpid()));
 
     int signal_number = 0;

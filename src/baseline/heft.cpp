@@ -38,6 +38,9 @@ ListSchedule schedule_heft(const TaskGraph& graph, const HeterogeneousSystem& sy
   if (system.pe_count() <= 0) throw std::invalid_argument("schedule_heft: no PEs");
   ListSchedule sched;
   sched.entries.assign(graph.node_count(), ListScheduleEntry{});
+  for (const std::int64_t b : bottom_levels(graph)) {
+    sched.critical_path = std::max(sched.critical_path, b);
+  }
 
   const std::vector<double> rank = upward_ranks(graph, system);
   std::vector<NodeId> order = topological_order(graph);

@@ -27,6 +27,7 @@ ListSchedule schedule_non_streaming(const TaskGraph& graph, std::int64_t num_pes
   sched.entries.assign(graph.node_count(), ListScheduleEntry{});
 
   const std::vector<std::int64_t> bl = bottom_levels(graph);
+  for (const std::int64_t b : bl) sched.critical_path = std::max(sched.critical_path, b);
   std::vector<NodeId> order = topological_order(graph);
   std::vector<std::size_t> topo_pos(graph.node_count());
   for (std::size_t i = 0; i < order.size(); ++i) {

@@ -20,6 +20,9 @@ struct ListScheduleEntry {
 struct ListSchedule {
   std::vector<ListScheduleEntry> entries;  ///< indexed by NodeId
   std::int64_t makespan = 0;
+  /// Longest path by task cost W (the maximum bottom level): the SLR
+  /// denominator, filled by the scheduler that already walked the graph.
+  std::int64_t critical_path = 0;
 
   [[nodiscard]] const ListScheduleEntry& at(NodeId v) const {
     return entries[static_cast<std::size_t>(v)];

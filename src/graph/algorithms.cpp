@@ -269,20 +269,4 @@ std::vector<bool> edges_on_undirected_cycles(
   return on_cycle;
 }
 
-std::vector<NodeId> alive_sources(const TaskGraph& graph, const std::vector<bool>& alive) {
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
-    if (!alive[static_cast<std::size_t>(v)]) continue;
-    bool ready = true;
-    for (const EdgeId e : graph.in_edges(v)) {
-      if (alive[static_cast<std::size_t>(graph.edge(e).src)]) {
-        ready = false;
-        break;
-      }
-    }
-    if (ready) sources.push_back(v);
-  }
-  return sources;
-}
-
 }  // namespace sts

@@ -84,9 +84,4 @@ struct BufferSplitWccs {
 [[nodiscard]] std::vector<bool> edges_on_undirected_cycles(
     std::size_t n, std::span<const std::pair<std::int32_t, std::int32_t>> edges);
 
-/// Current sources of a graph restricted to `alive` nodes: alive nodes all of
-/// whose predecessors are dead (already scheduled). Helper for Algorithm 1/2.
-[[nodiscard]] std::vector<NodeId> alive_sources(const TaskGraph& graph,
-                                                const std::vector<bool>& alive);
-
 }  // namespace sts

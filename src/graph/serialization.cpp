@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <numeric>
-#include <ostream>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -168,10 +167,6 @@ TaskGraph load_task_graph(std::istream& input) {
 TaskGraph load_task_graph_from_string(const std::string& text) {
   std::istringstream input(text);
   return load_task_graph(input);
-}
-
-void save_task_graph(std::ostream& output, const TaskGraph& graph) {
-  output << save_task_graph_to_string(graph);
 }
 
 std::string save_task_graph_to_string(const TaskGraph& graph) {
@@ -586,11 +581,23 @@ CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph,
 CanonicalPartitionIndex canonical_partition_index(
     const TaskGraph& graph, PartitionCanonMemo* memo,
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries) {
-  if (memo == nullptr) return canonical_partition_index(graph);
+  if (memo != nullptr) {
+    if (std::optional<CanonicalPartitionIndex> index =
+            composite_partition_index(graph, *memo, entries)) {
+      return std::move(*index);
+    }
+  }
+  if (entries) entries->clear();
+  return canonical_partition_index(graph);
+}
 
+std::optional<CanonicalPartitionIndex> composite_partition_index(
+    const TaskGraph& graph, PartitionCanonMemo& memo,
+    std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries) {
   const std::size_t n = graph.node_count();
   CanonicalPartitionIndex index;
   build_partition_groups(graph, index);
+  if (index.count <= 1) return std::nullopt;
   if (entries) entries->assign(static_cast<std::size_t>(index.count), nullptr);
 
   // Position of each node within its partition's ascending-id listing — the
@@ -620,7 +627,7 @@ CanonicalPartitionIndex canonical_partition_index(
     ids.assign(slice, slice + size);
     partition_raw_form(graph, {slice, size}, pos, raw_buf);
 
-    if (auto hit = memo->find(raw_buf)) {
+    if (auto hit = memo.find(raw_buf)) {
       for (std::size_t i = 0; i < size; ++i) {
         const NodeId v = ids[i];
         index.node_hash[static_cast<std::size_t>(v)] = hit->hash[i];
@@ -682,7 +689,7 @@ CanonicalPartitionIndex canonical_partition_index(
     }
     ranks.form = canonical_partition_form(graph, index, c);
     ranks.form_digest = fnv1a64(ranks.form);
-    auto resident = memo->insert(raw_buf, std::move(ranks));
+    auto resident = memo.insert(raw_buf, std::move(ranks));
     if (entries) (*entries)[static_cast<std::size_t>(c)] = std::move(resident);
   }
   return index;

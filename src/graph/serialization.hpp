@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,12 +27,11 @@ namespace sts {
 ///     edge <src> <dst> <volume>
 ///
 /// Node ids must be dense and ascending starting at 0 (they map directly to
-/// NodeId). `save_task_graph` always writes that shape, so round-trips are
-/// exact.
+/// NodeId). `save_task_graph_to_string` always writes that shape, so
+/// round-trips are exact.
 [[nodiscard]] TaskGraph load_task_graph(std::istream& input);
 [[nodiscard]] TaskGraph load_task_graph_from_string(const std::string& text);
 
-void save_task_graph(std::ostream& output, const TaskGraph& graph);
 [[nodiscard]] std::string save_task_graph_to_string(const TaskGraph& graph);
 
 /// Compact binary encoding of the scheduling-relevant canonical structure:
@@ -187,13 +187,26 @@ class PartitionCanonMemo {
 /// As above, but reuses (and fills) `memo` so partitions whose raw content
 /// was canonicalized before skip level computation and refinement entirely —
 /// the fast path that makes delta rescheduling and shared-partition request
-/// streams cheap. `nullptr` falls back to the plain overload. The returned
-/// index is identical to canonical_partition_index(graph) for every graph
-/// and every memo state. When `entries` is non-null it receives the resident
-/// memo entry of each partition (entries[c] for partition c), giving callers
-/// the canonical form bytes without another edge walk.
+/// streams cheap. The returned index is identical to
+/// canonical_partition_index(graph) for every graph and every memo state.
+/// When `entries` is non-null it receives the resident memo entry of each
+/// partition (entries[c] for partition c), giving callers the canonical form
+/// bytes without another edge walk. A graph of at most one partition (see
+/// composite_partition_index), or a null `memo`, gets the plain overload's
+/// index, leaves the memo untouched and `entries` empty.
 [[nodiscard]] CanonicalPartitionIndex canonical_partition_index(
     const TaskGraph& graph, PartitionCanonMemo* memo,
+    std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries = nullptr);
+
+/// The memo overload's index for a graph of two or more connected
+/// partitions; std::nullopt for a graph of at most one, which is not
+/// canonicalized and leaves the memo untouched. Such a graph's only reusable
+/// part is the whole graph, whose exact repeats a whole-graph ScheduleCache
+/// serves, so schedule_with_subgraph_cache schedules it whole. The count
+/// comes from the union-find pass every canonicalization runs first, so a
+/// one-partition graph costs that pass and nothing more here.
+[[nodiscard]] std::optional<CanonicalPartitionIndex> composite_partition_index(
+    const TaskGraph& graph, PartitionCanonMemo& memo,
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries = nullptr);
 
 /// Compact binary canonical form of one connected partition: node count,

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +19,9 @@ namespace sts {
 namespace {
 
 constexpr std::string_view kHealthBody = "{\"status\": \"ok\"}";
+
+/// listen(2) backlog.
+constexpr int kListenBacklog = 64;
 
 [[nodiscard]] std::string error_envelope(std::string_view detail) {
   return ScheduleResponse::failure(std::string(detail)).to_json();
@@ -38,7 +42,7 @@ StsServer::StsServer(std::shared_ptr<ScheduleBackend> backend, ServerConfig conf
     : backend_(std::move(backend)), config_(std::move(config)) {
   if (!backend_) throw std::invalid_argument("StsServer: backend must not be null");
 
-  listen_fd_ = listen_tcp(config_.host, config_.port, config_.backlog);
+  listen_fd_ = listen_tcp(config_.host, config_.port, kListenBacklog);
   set_nonblocking(listen_fd_.get(), true);
   port_ = local_port(listen_fd_.get());
 
@@ -49,9 +53,7 @@ StsServer::StsServer(std::shared_ptr<ScheduleBackend> backend, ServerConfig conf
   epoll_add(epoll_fd_.get(), listen_fd_.get(), EPOLLIN);
   epoll_add(epoll_fd_.get(), wake_fd_.get(), EPOLLIN);
 
-  std::size_t responders = config_.responders;
-  if (responders == 0) responders = backend_->worker_count();
-  if (responders == 0) responders = 1;
+  const std::size_t responders = std::max<std::size_t>(1, backend_->worker_count());
   responders_.reserve(responders);
   for (std::size_t i = 0; i < responders; ++i) {
     responders_.emplace_back([this] { responder_loop(); });

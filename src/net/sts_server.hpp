@@ -25,15 +25,8 @@ struct ServerConfig {
   /// TCP port; 0 = ephemeral (read the actual port back via port()).
   std::uint16_t port = 0;
 
-  /// Responder threads running the blocking backend call; 0 = the backend's
-  /// worker_count (one responder per worker keeps every shard feedable).
-  std::size_t responders = 0;
-
   /// HTTP framing limits: request head and body caps (oversize → 413).
   HttpLimits http;
-
-  /// listen(2) backlog.
-  int backlog = 64;
 };
 
 /// Minimal epoll-based HTTP/1.1 server exposing one `ScheduleBackend` over
@@ -50,10 +43,11 @@ struct ServerConfig {
 ///
 /// Threading: one event-loop thread owns every connection (epoll,
 /// level-triggered, non-blocking sockets — connection state needs no locks);
-/// a small responder pool runs the blocking `backend->schedule()` calls and
-/// posts finished responses back to the loop through an eventfd-signalled
-/// completion queue. One request per connection is in flight at a time
-/// (pipelined bytes wait buffered), so responses never reorder.
+/// a responder pool, one thread per backend worker so every shard stays
+/// fed, runs the blocking `backend->schedule()` calls and posts finished
+/// responses back to the loop through an eventfd-signalled completion
+/// queue. One request per connection is in flight at a time (pipelined
+/// bytes wait buffered), so responses never reorder.
 ///
 /// Graceful drain (the SIGTERM sequence of sts-serve): `drain()` closes the
 /// listen socket, lets every in-flight request finish, answers with

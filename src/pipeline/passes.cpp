@@ -116,12 +116,9 @@ void MetricsPass::run(ScheduleContext& ctx) const {
     m.slr = streaming_slr(ctx.streaming->makespan, ctx.streaming_depth_bound);
     m.utilization = streaming_utilization(g, *ctx.streaming, ctx.machine.num_pes);
   } else if (ctx.list) {
-    std::int64_t critical_path = 0;
-    for (const std::int64_t b : bottom_levels(g)) {
-      critical_path = std::max(critical_path, b);
-    }
-    if (critical_path > 0) {
-      m.slr = static_cast<double>(ctx.list->makespan) / static_cast<double>(critical_path);
+    if (ctx.list->critical_path > 0) {
+      m.slr = static_cast<double>(ctx.list->makespan) /
+              static_cast<double>(ctx.list->critical_path);
     }
     m.utilization = non_streaming_utilization(g, *ctx.list, ctx.machine.num_pes);
   }

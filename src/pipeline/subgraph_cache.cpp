@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "graph/serialization.hpp"
@@ -238,8 +239,12 @@ ScheduleResult schedule_with_subgraph_cache(const std::string& scheduler,
   if (!composable_scheduler(scheduler, machine)) return schedule_by_name(scheduler, graph, machine);
 
   std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>> canon;
-  const CanonicalPartitionIndex index =
-      canonical_partition_index(graph, &cache.canon_memo(), &canon);
+  const std::optional<CanonicalPartitionIndex> composite =
+      composite_partition_index(graph, cache.canon_memo(), &canon);
+  // One partition: nothing to compose, and its repeats are whole-graph
+  // ScheduleCache hits, so it is scheduled whole and stored nowhere.
+  if (!composite) return schedule_by_name(scheduler, graph, machine);
+  const CanonicalPartitionIndex& index = *composite;
   const Clock::time_point canonicalized = Clock::now();
   const std::string context = fragment_context(scheduler, machine);
   const std::uint64_t context_digest = fnv1a64(context);

@@ -20,9 +20,10 @@ namespace sts {
 /// connected partition under its renumbering-invariant canonical form
 /// (canonical_partition_form), so near-duplicate requests — and delta
 /// requests that edit a handful of nodes — reuse every untouched partition's
-/// fragment and pay only for the partitions they changed. Invalidation is
-/// emergent from content addressing: an edited partition hashes to a new
-/// form, which simply misses.
+/// fragment and pay only for the partitions they changed. Only graphs of two
+/// or more partitions store fragments (see schedule_with_subgraph_cache).
+/// Invalidation is emergent from content addressing: an edited partition
+/// hashes to a new form, which simply misses.
 ///
 /// A fragment is the full ScheduleResult of the partition materialized as a
 /// standalone graph in canonical node order; assemble_from_fragments stitches
@@ -90,6 +91,7 @@ class SubgraphCache {
   /// skip structural refinement — the dominant canonicalization cost on
   /// large graphs. Same weight capacity (node count) as the fragment store.
   [[nodiscard]] PartitionCanonMemo& canon_memo() noexcept { return canon_memo_; }
+  [[nodiscard]] const PartitionCanonMemo& canon_memo() const noexcept { return canon_memo_; }
 
  private:
   const std::size_t capacity_;
@@ -107,6 +109,13 @@ class SubgraphCache {
 /// materialized_partition_index so it is canonicalized once), and assembles
 /// a whole-graph ScheduleResult whose result_fingerprint is bit-identical to
 /// schedule_by_name(scheduler, graph, machine).
+///
+/// The graph's partition count picks the path (composite_partition_index).
+/// A graph of at most one connected partition has nothing to compose: it is
+/// scheduled whole by schedule_by_name and leaves the fragment store, the
+/// canonicalization memo and every counter untouched, since a repeat of it
+/// is an exact whole-graph repeat that the caller's ScheduleCache serves.
+/// Only graphs of two or more partitions store and reuse fragments.
 ///
 /// Fragment composition applies to the streaming pipeline schedulers
 /// (streaming-lts/rlx/work) without mesh placement — their passes are

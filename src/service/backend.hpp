@@ -31,10 +31,12 @@ struct ServiceStats {
   std::uint64_t fast_path_hits = 0;  ///< completed synchronously in submit()
   std::vector<std::size_t> shard_max_depth;  ///< per-shard queue high-water mark
   ScheduleCache::Stats cache;
-  SubgraphCache::Stats subgraph;  ///< zeros when subgraph memoization is off
-  /// Canonicalization-memo counters of the subgraph cache (zeros when
-  /// subgraph memoization is off): partitions whose structural refinement
-  /// was skipped vs. refined from scratch.
+  /// Fragment-cache counters. Only graphs of two or more connected
+  /// partitions are composed from fragments, so one-partition traffic (the
+  /// paper topologies) leaves these and `canon` at zero.
+  SubgraphCache::Stats subgraph;
+  /// Canonicalization-memo counters of the subgraph cache: partitions whose
+  /// structural refinement was skipped vs. refined from scratch.
   PartitionCanonMemo::Stats canon;
 };
 

@@ -9,7 +9,6 @@
 #include "graph/graph_edit.hpp"
 #include "pipeline/passes.hpp"
 #include "pipeline/pipeline.hpp"
-#include "pipeline/registry.hpp"
 #include "pipeline/schedule_context.hpp"
 #include "support/text.hpp"
 
@@ -19,9 +18,6 @@ ScheduleService::ScheduleService(ServiceConfig config)
     : cache_(config.cache_capacity),
       queue_depth_(config.queue_depth),
       bases_(config.base_registry_capacity) {
-  if (config.subgraph_cache_capacity > 0) {
-    subgraph_cache_ = std::make_unique<SubgraphCache>(config.subgraph_cache_capacity);
-  }
   std::size_t n = config.num_workers;
   if (n == 0) {
     n = std::thread::hardware_concurrency();
@@ -175,14 +171,13 @@ ScheduleService::Admission ScheduleService::submit(ScheduleRequest request) {
 
 ScheduleResult ScheduleService::compute_job(const Job& job) {
   const ScheduleRequest& request = job.request;
-  // With subgraph memoization on, a whole-graph cache miss still reuses every
+  // A whole-graph cache miss of a multi-partition graph still reuses every
   // cached per-partition fragment and schedules only the partitions a delta
-  // (or a fresh near-duplicate) actually changed.
+  // (or a fresh near-duplicate) actually changed; a one-partition graph is
+  // scheduled whole.
   ScheduleResult result =
-      subgraph_cache_ ? schedule_with_subgraph_cache(request.scheduler, request.graph,
-                                                     request.machine, *subgraph_cache_,
-                                                     request.base_key.has_value())
-                      : schedule_by_name(request.scheduler, request.graph, request.machine);
+      schedule_with_subgraph_cache(request.scheduler, request.graph, request.machine,
+                                   subgraph_cache_, request.base_key.has_value());
   if (!request.sim) return result;
   if (!result.streaming || !result.buffers) {
     throw std::invalid_argument(
@@ -304,10 +299,8 @@ ScheduleService::Stats ScheduleService::stats() const {
     out.shard_max_depth.push_back(shard->max_depth);
   }
   out.cache = cache_.stats();
-  if (subgraph_cache_) {
-    out.subgraph = subgraph_cache_->stats();
-    out.canon = subgraph_cache_->canon_memo().stats();
-  }
+  out.subgraph = subgraph_cache_.stats();
+  out.canon = subgraph_cache_.canon_memo().stats();
   return out;
 }
 

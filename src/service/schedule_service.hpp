@@ -39,12 +39,6 @@ struct ServiceConfig {
   /// typed `Rejected` outcome.
   std::size_t queue_depth = 0;
 
-  /// Total-weight capacity of the per-partition fragment cache (SubgraphCache;
-  /// entries weigh their partition's node count). 0 disables subgraph
-  /// memoization entirely — workers fall back to whole-graph scheduling, the
-  /// PR-6 behavior.
-  std::size_t subgraph_cache_capacity = SubgraphCache::kDefaultCapacity;
-
   /// Entries kept in the base-request registry that delta requests resolve
   /// their `base_key` against (LRU of materialized graphs, keyed by
   /// key_hash(), which a key_digest() parses back to). Every submitted
@@ -158,8 +152,8 @@ class ScheduleService : public ScheduleBackend {
   [[nodiscard]] double uptime_seconds() const;
 
   [[nodiscard]] ScheduleCache& cache() noexcept { return cache_; }
-  /// The fragment cache, or nullptr when subgraph memoization is disabled.
-  [[nodiscard]] SubgraphCache* subgraph_cache() noexcept { return subgraph_cache_.get(); }
+  /// The per-partition fragment cache that multi-partition misses compose from.
+  [[nodiscard]] SubgraphCache& subgraph_cache() noexcept { return subgraph_cache_; }
   [[nodiscard]] std::size_t worker_count() const noexcept override { return shards_.size(); }
   [[nodiscard]] std::size_t queue_depth_limit() const noexcept { return queue_depth_; }
 
@@ -195,7 +189,7 @@ class ScheduleService : public ScheduleBackend {
       EXCLUDES(bases_mutex_);
 
   ScheduleCache cache_;
-  std::unique_ptr<SubgraphCache> subgraph_cache_;  ///< null = disabled
+  SubgraphCache subgraph_cache_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   std::size_t queue_depth_ = 0;

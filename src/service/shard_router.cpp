@@ -50,19 +50,15 @@ std::vector<std::shared_ptr<ScheduleBackend>> make_backends(const RouterConfig& 
 // The ring is built first, so a degenerate config throws before any backend
 // exists.
 ShardRouter::ShardRouter(RouterConfig config)
-    : ring_(make_ring(config.num_backends, config.virtual_nodes)),
+    : ring_(make_ring(config.num_backends)),
       backends_(make_backends(config)) {}
 
-std::vector<ShardRouter::RingPoint> ShardRouter::make_ring(std::size_t backends,
-                                                           std::size_t virtual_nodes) {
+std::vector<ShardRouter::RingPoint> ShardRouter::make_ring(std::size_t backends) {
   if (backends == 0) throw std::invalid_argument("ShardRouter: num_backends must be >= 1");
-  if (virtual_nodes == 0) {
-    throw std::invalid_argument("ShardRouter: virtual_nodes must be >= 1");
-  }
   std::vector<RingPoint> ring;
-  ring.reserve(backends * virtual_nodes);
+  ring.reserve(backends * kVirtualNodes);
   for (std::size_t b = 0; b < backends; ++b) {
-    for (std::size_t v = 0; v < virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       // The point position depends only on (backend index, vnode index), so
       // adding a backend never moves an existing backend's points — the
       // consistent-hashing property GrowingThePoolOnlyMovesKeysToTheNewBackend

@@ -19,11 +19,6 @@ struct RouterConfig {
   /// Number of backends to own. Must be >= 1.
   std::size_t num_backends = 2;
 
-  /// Ring points per backend. More points smooth the key-space split at the
-  /// cost of a larger (still tiny) routing table; 64 keeps the imbalance of
-  /// a random key set within a few percent.
-  std::size_t virtual_nodes = 64;
-
   /// Configuration applied to every backend service (ignored by a custom
   /// `backend_factory` unless it chooses to use it).
   ServiceConfig backend;
@@ -46,7 +41,7 @@ struct RouterConfig {
 /// backend through `submit(ScheduleRequest)`, a serializable envelope, so
 /// the mix is invisible to callers).
 ///
-/// Routing: each backend owns `virtual_nodes` points on a 64-bit ring,
+/// Routing: each backend owns `kVirtualNodes` points on a 64-bit ring,
 /// placed at `fnv1a64("backend <i> vnode <j>")`; a request routes to the
 /// owner of the first ring point at or after `request.key_hash()`
 /// (wrapping), and a delta request by the hash its `base_key` digest names.
@@ -64,7 +59,12 @@ struct RouterConfig {
 /// submit blocked on one backend's backpressure never stalls the others.
 class ShardRouter {
  public:
-  /// Throws std::invalid_argument on zero backends or virtual nodes.
+  /// Ring points per backend. More points smooth the key-space split at the
+  /// cost of a larger (still tiny) routing table; 64 keeps the imbalance of
+  /// a random key set within a few percent.
+  static constexpr std::size_t kVirtualNodes = 64;
+
+  /// Throws std::invalid_argument on zero backends.
   explicit ShardRouter(RouterConfig config = {});
 
   ShardRouter(const ShardRouter&) = delete;
@@ -124,10 +124,9 @@ class ShardRouter {
     std::uint32_t backend = 0;
   };
 
-  /// `virtual_nodes` points per backend, sorted by (hash, backend). Throws
-  /// std::invalid_argument when either count is zero.
-  [[nodiscard]] static std::vector<RingPoint> make_ring(std::size_t backends,
-                                                        std::size_t virtual_nodes);
+  /// `kVirtualNodes` points per backend, sorted by (hash, backend). Throws
+  /// std::invalid_argument on zero backends.
+  [[nodiscard]] static std::vector<RingPoint> make_ring(std::size_t backends);
   [[nodiscard]] std::size_t backend_for_hash(std::uint64_t hash) const;
 
   const std::vector<RingPoint> ring_;

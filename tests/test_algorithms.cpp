@@ -193,17 +193,5 @@ TEST(UndirectedCycles, DisconnectedComponents) {
   EXPECT_TRUE(on_cycle[3]);
 }
 
-TEST(AliveSources, TracksRemainingGraph) {
-  const TaskGraph g = testing::figure9_graph1();
-  std::vector<bool> alive(g.node_count(), true);
-  auto sources = alive_sources(g, alive);
-  ASSERT_EQ(sources.size(), 1u);
-  EXPECT_EQ(sources.front(), 0);
-  alive[0] = false;
-  sources = alive_sources(g, alive);
-  // With task 0 scheduled, task 1 becomes a source; task 4 still waits on 3.
-  EXPECT_EQ(sources, (std::vector<NodeId>{1}));
-}
-
 }  // namespace
 }  // namespace sts

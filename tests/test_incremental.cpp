@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz_specs.hpp"
 #include "graph/graph_edit.hpp"
 #include "graph/serialization.hpp"
 #include "graph/task_graph.hpp"
@@ -301,6 +302,14 @@ TEST(PartitionCanonMemo, MemoPathMatchesPlainPathColdAndWarm) {
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>> entries;
     // Cold memo: every partition misses, result must still be identical.
     expect_same_index(canonical_partition_index(g, &memo, &entries), plain);
+    if (plain.count == 1) {
+      // One partition is canonicalized without the memo, warm or not.
+      EXPECT_TRUE(entries.empty());
+      expect_same_index(canonical_partition_index(g, &memo, &entries), plain);
+      EXPECT_EQ(memo.size(), 0u);
+      EXPECT_EQ(memo.stats().hits + memo.stats().misses, 0u);
+      continue;
+    }
     const auto pcount = static_cast<std::uint64_t>(plain.count);
     ASSERT_EQ(entries.size(), pcount);
     for (std::int32_t c = 0; c < plain.count; ++c) {
@@ -486,12 +495,19 @@ TEST(SubgraphAssembly, MatchesColdScheduleForEveryRegistryScheduler) {
       {testing::buffer_split_example(), 4},
       {multi_component_graph(3, 41), 4},
   };
-  // The paper topologies at the serving benchmark's PE counts: every cold
-  // fragment there is scheduled with its materialized identity index.
+  // The paper topologies at the serving benchmark's PE counts, each one
+  // partition and so scheduled whole, and their three-component
+  // composition, whose every cold fragment is scheduled with its
+  // materialized identity index.
+  TaskGraph paper_trio;
+  testing::append_component(paper_trio, make_fft(32, 1), "fft_");
+  testing::append_component(paper_trio, make_gaussian_elimination(16, 1), "ge_");
+  testing::append_component(paper_trio, make_cholesky(8, 1), "ch_");
   for (const std::int64_t pes : {32, 128}) {
     cases.push_back({make_fft(32, 1), pes});
     cases.push_back({make_gaussian_elimination(16, 1), pes});
     cases.push_back({make_cholesky(8, 1), pes});
+    cases.push_back({paper_trio, pes});
   }
   for (const std::string& scheduler : SchedulerRegistry::instance().names()) {
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -516,6 +532,45 @@ TEST(SubgraphAssembly, MatchesColdScheduleForEveryRegistryScheduler) {
           << scheduler << " on graph " << i << " (warm)";
     }
   }
+}
+
+TEST(SubgraphAssembly, OnePartitionGraphIsScheduledWholeAndStoresNothing) {
+  // One partition has no fragment to share but the whole graph, whose exact
+  // repeats the whole-graph ScheduleCache serves: neither the fragment store
+  // nor the canonicalization memo keeps anything, every counter stays 0, and
+  // the result is the cold schedule.
+  const TaskGraph g = make_fft(32, 1);
+  ASSERT_EQ(canonical_partition_index(g).count, 1);
+  MachineConfig machine;
+  machine.num_pes = 32;
+  for (const char* scheduler : {"streaming-lts", "streaming-rlx", "streaming-work"}) {
+    SCOPED_TRACE(scheduler);
+    SubgraphCache cache;
+    const std::uint64_t cold = result_fingerprint(schedule_by_name(scheduler, g, machine));
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(result_fingerprint(schedule_with_subgraph_cache(scheduler, g, machine, cache)),
+                cold);
+    }
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.canon_memo().size(), 0u);
+    const SubgraphCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.partition_hits, 0u);
+    EXPECT_EQ(stats.partition_misses, 0u);
+    EXPECT_EQ(stats.fragments_assembled, 0u);
+    EXPECT_EQ(stats.delta_invalidated, 0u);
+    EXPECT_EQ(cache.canon_memo().stats().hits, 0u);
+    EXPECT_EQ(cache.canon_memo().stats().misses, 0u);
+  }
+
+  // The count rule lives in composite_partition_index; the memo overload
+  // falls back to the plain index with no entries.
+  PartitionCanonMemo memo;
+  std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>> entries;
+  EXPECT_FALSE(composite_partition_index(g, memo, &entries).has_value());
+  expect_same_index(canonical_partition_index(g, &memo, &entries), canonical_partition_index(g));
+  EXPECT_TRUE(entries.empty());
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.stats().misses, 0u);
 }
 
 TEST(SubgraphAssembly, MeshPlacementDegradesToWholeGraphFragment) {
@@ -866,17 +921,22 @@ TEST(DeclaredOutputAliasing, InvalidTwinIsNotServedTheValidCachedResult) {
 }
 
 TEST(DeclaredOutputAliasing, InvalidPartitionIsNotAssembledFromTheValidFragment) {
-  // A is component 0 of the two-component graph; A' + B contradicts a
+  // A is component 0 of the two-component graph A + B; A' + B contradicts a
   // declaration inside A. The whole-graph key is new, so the request reaches
   // fragment assembly, where A' must miss A's cached fragment.
-  const TaskGraph a = multi_component_graph(1, 67);
-  const TaskGraph twin_ab = contradict_declared_output(multi_component_graph(2, 67));
+  const TaskGraph ab = multi_component_graph(2, 67);
+  const TaskGraph twin_ab = contradict_declared_output(ab);
   MachineConfig machine;
   machine.num_pes = 4;
   EXPECT_THROW((void)schedule_by_name("streaming-rlx", twin_ab, machine), std::invalid_argument);
 
   ScheduleService service(ServiceConfig{1});
-  ASSERT_TRUE(service.schedule(rlx_request(a)).ok());
+  ASSERT_TRUE(service.schedule(rlx_request(ab)).ok());
+  // Every partition of A + B, A's included, left its fragment resident.
+  const auto partitions = static_cast<std::size_t>(canonical_partition_index(ab).count);
+  ASSERT_GE(partitions, 2u);
+  EXPECT_EQ(service.stats().subgraph.partition_misses, partitions);
+  EXPECT_EQ(service.subgraph_cache().size(), partitions);
   const ScheduleResponse response = service.schedule(rlx_request(twin_ab));
   EXPECT_FALSE(response.ok()) << "A' + B was assembled from A's cached fragment";
   EXPECT_NE(response.error.find("not a valid canonical task graph"), std::string::npos)
@@ -916,31 +976,6 @@ TEST(DeltaRequest, RouterRoutesDeltaToTheBaseBackend) {
   EXPECT_EQ(stats.total.subgraph.partition_hits, 2u);
   EXPECT_NE(router.stats_json().find("\"delta_invalidated\": 1"), std::string::npos);
   EXPECT_NE(router.stats_json().find("\"cache_weight\": "), std::string::npos);
-}
-
-TEST(DeltaRequest, SubgraphMemoizationCanBeDisabled) {
-  ServiceConfig config;
-  config.num_workers = 1;
-  config.subgraph_cache_capacity = 0;
-  ScheduleService service(config);
-  EXPECT_EQ(service.subgraph_cache(), nullptr);
-  ASSERT_TRUE(service.schedule(base_request()).ok());
-  const ScheduleService::Stats stats = service.stats();
-  EXPECT_EQ(stats.subgraph.partition_hits, 0u);
-  EXPECT_EQ(stats.subgraph.partition_misses, 0u);
-
-  // Deltas still materialize and schedule — the base registry is independent
-  // of subgraph memoization.
-  ScheduleRequest base = base_request();
-  const std::string digest = base.key_digest();
-  const TaskGraph base_graph = base.graph;
-  ScheduleRequest delta;
-  delta.base_key = digest;
-  delta.edits = retune_exit(base_graph, 2);
-  delta.scheduler = "streaming-rlx";
-  delta.machine.num_pes = 4;
-  const ScheduleResponse response = service.schedule(std::move(delta));
-  ASSERT_TRUE(response.ok()) << response.error;
 }
 
 }  // namespace

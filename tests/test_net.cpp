@@ -18,10 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_specs.hpp"
+#include "graph/graph_edit.hpp"
 #include "net/http.hpp"
 #include "net/remote_backend.hpp"
 #include "net/server_process.hpp"
 #include "net/socket.hpp"
+#include "pipeline/registry.hpp"
 #include "service/schedule_service.hpp"
 #include "service/shard_router.hpp"
 #include "support/json.hpp"
@@ -420,6 +423,55 @@ TEST(ServerProcess, SpawnsServesAndDrainsOnSigterm) {
     EXPECT_EQ(snapshot.stats.submitted, 1u);
   }
   // SIGTERM runs the graceful drain; a clean drain exits 0.
+  EXPECT_EQ(child.terminate(), 0);
+}
+
+TEST(ServerProcess, DefaultChildComposesDeltasFromFragments) {
+  const std::string binary = default_sts_serve_binary();
+  if (::access(binary.c_str(), X_OK) != 0) {
+    GTEST_SKIP() << "sts_serve binary not found at " << binary;
+  }
+  // Three paper topologies as one three-partition base, then a delta that
+  // retunes one exit node: a default child keeps every partition's fragment,
+  // so the delta reschedules one partition and reuses the other two.
+  ScheduleRequest base;
+  testing::append_component(base.graph, make_fft(8, 1), "f");
+  testing::append_component(base.graph, make_gaussian_elimination(6, 1), "g");
+  testing::append_component(base.graph, make_cholesky(4, 1), "c");
+  base.scheduler = "streaming-rlx";
+  base.machine.num_pes = 8;
+  NodeId exit = -1;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < base.graph.node_count(); ++v) {
+    if (base.graph.kind(v) == NodeKind::kCompute && base.graph.out_degree(v) == 0) {
+      exit = v;
+      break;
+    }
+  }
+  ASSERT_GE(exit, 0);
+  ScheduleRequest delta;
+  delta.base_key = base.key_digest();
+  delta.edits = {GraphEdit{GraphEdit::Op::kSetOutput, NodeKind::kCompute, exit, -1, -1,
+                           2 * base.graph.declared_output(exit), ""}};
+  delta.scheduler = base.scheduler;
+  delta.machine = base.machine;
+  const TaskGraph edited = apply_graph_edits(base.graph, delta.edits);
+
+  ServerProcess child(binary, {"--port", "0", "--threads", "1"});
+  RemoteConfig config;
+  config.port = child.port();
+  {
+    RemoteBackend remote(config);
+    ASSERT_TRUE(remote.schedule(base).ok());
+    const ScheduleResponse response = remote.schedule(delta);
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.result->makespan,
+              schedule_by_name("streaming-rlx", edited, delta.machine).makespan);
+    remote.wait_idle();
+    const ServiceStats stats = remote.stats_snapshot().stats;
+    EXPECT_EQ(stats.subgraph.partition_misses, 4u);  // 3 cold + 1 edited
+    EXPECT_EQ(stats.subgraph.partition_hits, 2u);
+    EXPECT_EQ(stats.subgraph.delta_invalidated, 1u);
+  }
   EXPECT_EQ(child.terminate(), 0);
 }
 

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz_specs.hpp"
 #include "paper_examples.hpp"
 #include "pipeline/registry.hpp"
 #include "service/backend.hpp"
@@ -125,7 +126,16 @@ TEST(ScheduleService, ConcurrentSubmittersComputeEachScenarioOnce) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRepeats = 16;
   ScheduleService service(ServiceConfig{4, 4096});
-  const std::vector<TaskGraph> graphs = {make_chain(8, 1), make_fft(8, 2), make_cholesky(4, 3)};
+  // Two multi-component scenarios sharing a component: their workers compose
+  // them from the one fragment store, possibly at the same time.
+  TaskGraph fft_cholesky;
+  testing::append_component(fft_cholesky, make_fft(8, 2), "f");
+  testing::append_component(fft_cholesky, make_cholesky(4, 3), "c");
+  TaskGraph cholesky_chain;
+  testing::append_component(cholesky_chain, make_cholesky(4, 3), "c");
+  testing::append_component(cholesky_chain, make_chain(8, 1), "h");
+  const std::vector<TaskGraph> graphs = {make_chain(8, 1), make_fft(8, 2), make_cholesky(4, 3),
+                                         fft_cholesky, cholesky_chain};
 
   std::vector<std::vector<ScheduleService::Future>> futures(kThreads);
   std::latch start(kThreads);
@@ -160,6 +170,10 @@ TEST(ScheduleService, ConcurrentSubmittersComputeEachScenarioOnce) {
   EXPECT_EQ(stats.cache.races, 0u);
   EXPECT_EQ(stats.cache.hits, kThreads * kRepeats * graphs.size() - graphs.size());
   EXPECT_EQ(stats.failed, 0u);
+  // Only the two composed scenarios touch the fragment store, two partitions
+  // each; the shared one is a hit or a miss depending on who got there first.
+  EXPECT_EQ(stats.subgraph.fragments_assembled, 4u);
+  EXPECT_EQ(stats.subgraph.partition_hits + stats.subgraph.partition_misses, 4u);
 }
 
 TEST(ScheduleService, SweepAcrossWorkersMatchesDirect) {

@@ -49,9 +49,6 @@ TEST(ShardRouter, RejectsDegenerateConfigs) {
   RouterConfig zero_backends = router_config(1);
   zero_backends.num_backends = 0;
   EXPECT_THROW(ShardRouter{zero_backends}, std::invalid_argument);
-  RouterConfig zero_vnodes = router_config(1);
-  zero_vnodes.virtual_nodes = 0;
-  EXPECT_THROW(ShardRouter{zero_vnodes}, std::invalid_argument);
 }
 
 TEST(ShardRouter, RoutingIsDeterministicAndCoversAllBackends) {
