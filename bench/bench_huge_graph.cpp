@@ -11,6 +11,10 @@
 //              (STS_BENCH_GRAPHS set) where it would dominate the job's wall
 //              time.
 //
+// The latency and mega phases also report where the time went: each pipeline
+// pass's seconds (of the best run) and the process's peak resident set
+// (VmHWM) after the phase.
+//
 // Graphs come from a bounded fan-in layered generator (each node samples a
 // constant number of predecessors), so building a 10^6-node topology is
 // O(nodes), unlike LayeredSpec's per-pair coin flips. Writes
@@ -21,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -61,21 +66,51 @@ TaskGraph make_huge_layered(int layers, int width, int fan_in, std::uint64_t see
   return canonical_from_topology(static_cast<std::int32_t>(nodes), edges, seed);
 }
 
-double schedule_seconds(const TaskGraph& graph, std::int64_t pes, int repeats) {
+struct Timed {
+  double seconds = 0.0;
+  std::vector<PassTiming> passes;  ///< of the fastest run
+};
+
+Timed schedule_seconds(const TaskGraph& graph, std::int64_t pes, int repeats) {
   MachineConfig machine;
   machine.num_pes = pes;
-  double best = 0.0;
+  Timed best;
   for (int r = 0; r < repeats; ++r) {
     const Stopwatch watch;
-    const ScheduleResult result = schedule_by_name("streaming-rlx", graph, machine);
+    ScheduleResult result = schedule_by_name("streaming-rlx", graph, machine);
     const double t = watch.seconds();
     if (result.makespan <= 0) {
       std::fprintf(stderr, "huge_graph: non-positive makespan\n");
       std::exit(1);
     }
-    if (r == 0 || t < best) best = t;
+    if (r == 0 || t < best.seconds) best = {t, std::move(result.timings)};
   }
   return best;
+}
+
+/// Peak resident set of this process (VmHWM) in MiB; 0 when unreadable.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // kB
+  }
+  return 0.0;
+}
+
+/// Adds `<phase>_<pass>_seconds` per pass (dashes in pass names become
+/// underscores) and `<phase>_vmhwm_mb` to the report, and prints them.
+void report_breakdown(BenchReport& report, const std::string& phase, const Timed& timed) {
+  std::printf("huge_graph: %s passes:", phase.c_str());
+  for (const PassTiming& pass : timed.passes) {
+    std::string key = pass.pass;
+    std::replace(key.begin(), key.end(), '-', '_');
+    report.add(phase + "_" + key + "_seconds", pass.seconds);
+    std::printf(" %s %.3fs", pass.pass.c_str(), pass.seconds);
+  }
+  const double vmhwm = peak_rss_mb();
+  report.add(phase + "_vmhwm_mb", vmhwm);
+  std::printf("; VmHWM %.0f MB\n", vmhwm);
 }
 
 // Process-wide arena heap accounting for the alloc phase.
@@ -130,12 +165,14 @@ int main() {
 
   // -------------------------------------------------------- phase 2: latency
   {
-    const double seconds = schedule_seconds(huge, 64, repeats);
+    const Timed timed = schedule_seconds(huge, 64, repeats);
+    const double seconds = timed.seconds;
     constexpr double kMaxSeconds = 1.0;
     report.add("latency_seconds", seconds);
     report.add("latency_seconds_max", kMaxSeconds);
     std::printf("huge_graph: %lld nodes, %.3fs (bound %.2fs)\n",
                 static_cast<long long>(huge.node_count()), seconds, kMaxSeconds);
+    report_breakdown(report, "latency", timed);
     if (seconds > kMaxSeconds) {
       std::fprintf(stderr, "huge_graph: %.3fs exceeds the %.2fs bound\n", seconds, kMaxSeconds);
       failed = true;
@@ -149,10 +186,11 @@ int main() {
     report.add("mega_nodes", static_cast<std::int64_t>(mega.node_count()));
     report.add("mega_edges", static_cast<std::int64_t>(mega.edge_count()));
     report.add("mega_gen_seconds", mega_gen.seconds());
-    const double seconds = schedule_seconds(mega, 256, 1);
-    report.add("mega_seconds", seconds);
+    const Timed timed = schedule_seconds(mega, 256, 1);
+    report.add("mega_seconds", timed.seconds);
     std::printf("huge_graph: %lld nodes, %.3fs (reported only)\n",
-                static_cast<long long>(mega.node_count()), seconds);
+                static_cast<long long>(mega.node_count()), timed.seconds);
+    report_breakdown(report, "mega", timed);
   }
 
   report.add("status", std::string(failed ? "fail" : "ok"));

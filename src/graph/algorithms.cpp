@@ -215,11 +215,20 @@ std::vector<bool> edges_on_undirected_cycles(
     std::int32_t to;
     std::int32_t edge;
   };
-  std::vector<std::vector<Half>> adj(n);
+  // Adjacency in CSR form, filled in edge order, so each node lists its
+  // half-edges in the order of the edges they belong to.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++first[static_cast<std::size_t>(u) + 1];
+    ++first[static_cast<std::size_t>(v) + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) first[u + 1] += first[u];
+  std::vector<Half> adj(2 * edges.size());
+  std::vector<std::size_t> cursor(first.begin(), first.end() - 1);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const auto [u, v] = edges[i];
-    adj[static_cast<std::size_t>(u)].push_back({v, static_cast<std::int32_t>(i)});
-    adj[static_cast<std::size_t>(v)].push_back({u, static_cast<std::int32_t>(i)});
+    adj[cursor[static_cast<std::size_t>(u)]++] = {v, static_cast<std::int32_t>(i)};
+    adj[cursor[static_cast<std::size_t>(v)]++] = {u, static_cast<std::int32_t>(i)};
   }
 
   std::vector<bool> on_cycle(edges.size(), false);
@@ -230,29 +239,30 @@ std::vector<bool> edges_on_undirected_cycles(
   struct Frame {
     std::int32_t node;
     std::int32_t parent_edge;
-    std::size_t next_child = 0;
+    std::size_t next_child = 0;  ///< index into adj
   };
   std::vector<Frame> stack;
   for (std::size_t root = 0; root < n; ++root) {
     if (disc[root] != -1) continue;
-    stack.push_back({static_cast<std::int32_t>(root), -1});
+    stack.push_back({static_cast<std::int32_t>(root), -1, first[root]});
     disc[root] = low[root] = timer++;
     while (!stack.empty()) {
       Frame& frame = stack.back();
       const auto u = static_cast<std::size_t>(frame.node);
-      if (frame.next_child < adj[u].size()) {
-        const Half half = adj[u][frame.next_child++];
+      if (frame.next_child < first[u + 1]) {
+        const Half half = adj[frame.next_child++];
         if (half.edge == frame.parent_edge) continue;
         const auto w = static_cast<std::size_t>(half.to);
         if (disc[w] == -1) {
           disc[w] = low[w] = timer++;
-          stack.push_back({half.to, half.edge});
+          stack.push_back({half.to, half.edge, first[w]});
         } else {
           // Back edge: lies on a cycle.
           low[u] = std::min(low[u], disc[w]);
           on_cycle[static_cast<std::size_t>(half.edge)] = true;
         }
       } else {
+        const std::int32_t parent_edge = frame.parent_edge;  // frame dies with pop_back
         stack.pop_back();
         if (!stack.empty()) {
           Frame& parent = stack.back();
@@ -260,7 +270,7 @@ std::vector<bool> edges_on_undirected_cycles(
           low[p] = std::min(low[p], low[u]);
           // Tree edge (p -> u) is a bridge iff low[u] > disc[p].
           if (low[u] <= disc[p]) {
-            on_cycle[static_cast<std::size_t>(frame.parent_edge)] = true;
+            on_cycle[static_cast<std::size_t>(parent_edge)] = true;
           }
         }
       }

@@ -7,6 +7,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -374,53 +375,83 @@ constexpr std::uint64_t hash_combine(std::uint64_t h, std::uint64_t w) noexcept 
   return avalanche(h ^ (w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2)));
 }
 
-// Distinct hash values among the partition's nodes; the refinement loop stops
-// when this stops growing (a fixed point of the refinement operator).
-std::size_t distinct_classes(std::span<const NodeId> nodes,
-                             const std::vector<std::uint64_t>& hash,
-                             std::vector<std::uint64_t>& scratch) {
-  scratch.clear();
-  for (const NodeId v : nodes) scratch.push_back(hash[static_cast<std::size_t>(v)]);
-  std::sort(scratch.begin(), scratch.end());
-  return static_cast<std::size_t>(
-      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+// Distinct values among `hashes`, counted exactly in O(m): open addressing
+// over a power-of-two table kept at most half full. Zero marks an empty slot,
+// so a zero hash is counted on the side. The refinement loop stops when this
+// count stops growing (a fixed point of the refinement operator).
+std::size_t distinct_classes(std::span<const std::uint64_t> hashes,
+                             std::vector<std::uint64_t>& slots) {
+  std::size_t capacity = 16;
+  while (capacity < 2 * hashes.size()) capacity *= 2;
+  slots.assign(capacity, 0);
+  const std::size_t mask = capacity - 1;
+  std::size_t classes = 0;
+  bool zero = false;
+  for (const std::uint64_t h : hashes) {
+    if (h == 0) {
+      zero = true;
+      continue;
+    }
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    while (slots[i] != 0 && slots[i] != h) i = (i + 1) & mask;
+    if (slots[i] == 0) {
+      slots[i] = h;
+      ++classes;
+    }
+  }
+  return classes + (zero ? 1 : 0);
 }
 
-// Union-find weakly connected components + min-original-id labeling +
-// ascending-id grouping: the prefix shared by both canonical_partition_index
-// overloads. Leaves `order` grouped by partition with ascending original ids
-// inside each group (refinement re-sorts the groups into canonical order).
-void build_partition_groups(const TaskGraph& graph, CanonicalPartitionIndex& index) {
-  const std::size_t n = graph.node_count();
-  index.component.assign(n, -1);
-  index.node_hash.assign(n, 0);
-  index.rank.assign(n, 0);
-  index.order.resize(n);
+// Weakly connected components over ALL edges (buffer edges included): a
+// union-find forest with path halving. Its roots are the partitions, so a
+// caller learns the partition count before building anything per node.
+struct ComponentForest {
+  std::vector<NodeId> parent;
+  std::size_t roots = 0;
 
-  // Weakly connected components over ALL edges (buffer edges included):
-  // union-find with path halving.
-  std::vector<NodeId> parent(n);
-  for (std::size_t v = 0; v < n; ++v) parent[v] = static_cast<NodeId>(v);
-  const auto find = [&parent](NodeId v) {
+  NodeId find(NodeId v) {
     while (parent[static_cast<std::size_t>(v)] != v) {
       parent[static_cast<std::size_t>(v)] =
           parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
       v = parent[static_cast<std::size_t>(v)];
     }
     return v;
-  };
-  for (const Edge& edge : graph.edges()) {
-    const NodeId a = find(edge.src);
-    const NodeId b = find(edge.dst);
-    if (a != b) parent[static_cast<std::size_t>(b)] = a;
   }
+};
+
+ComponentForest component_forest(const TaskGraph& graph) {
+  const std::size_t n = graph.node_count();
+  ComponentForest forest;
+  forest.parent.resize(n);
+  std::iota(forest.parent.begin(), forest.parent.end(), NodeId{0});
+  for (const Edge& edge : graph.edges()) {
+    const NodeId a = forest.find(edge.src);
+    const NodeId b = forest.find(edge.dst);
+    if (a != b) forest.parent[static_cast<std::size_t>(b)] = a;
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (forest.parent[v] == static_cast<NodeId>(v)) ++forest.roots;
+  }
+  return forest;
+}
+
+// Min-original-id labeling + ascending-id grouping of the forest's
+// partitions: the prefix shared by both canonical_partition_index overloads.
+// Leaves `order` grouped by partition with ascending original ids inside
+// each group (refinement re-sorts the groups into canonical order).
+void build_partition_groups(ComponentForest forest, CanonicalPartitionIndex& index) {
+  const std::size_t n = forest.parent.size();
+  index.component.assign(n, -1);
+  index.node_hash.assign(n, 0);
+  index.rank.assign(n, 0);
+  index.order.resize(n);
 
   // Label partitions in order of their minimal original node id: the ascending
   // scan reaches each root's first member before any other, so labels are
   // assigned in that order.
   std::int32_t count = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    const auto r = static_cast<std::size_t>(find(static_cast<NodeId>(v)));
+    const auto r = static_cast<std::size_t>(forest.find(static_cast<NodeId>(v)));
     if (index.component[r] < 0) index.component[r] = count++;
     index.component[v] = index.component[r];
   }
@@ -442,6 +473,19 @@ void build_partition_groups(const TaskGraph& graph, CanonicalPartitionIndex& ind
   }
 }
 
+// Position of each node within its partition's ascending-id listing: the
+// coordinate system of the refinement scratch and of the memo key.
+std::vector<std::int32_t> partition_positions(const CanonicalPartitionIndex& index) {
+  std::vector<std::int32_t> pos(index.order.size(), 0);
+  for (std::int32_t c = 0; c < index.count; ++c) {
+    const std::span<const NodeId> nodes = index.nodes(c);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      pos[static_cast<std::size_t>(nodes[i])] = static_cast<std::int32_t>(i);
+    }
+  }
+  return pos;
+}
+
 // Seed hash from per-node intrinsic structure. The generalized level
 // (Eq. level recurrence) is included because it separates long chains
 // immediately — pure neighbor-multiset refinement would need O(diameter)
@@ -458,53 +502,108 @@ std::uint64_t seed_hash(const TaskGraph& graph, NodeId v, const Rational& level)
   return h;
 }
 
+// One partition in flat arrays indexed by position (see
+// partition_positions), reused across the partitions of one
+// canonicalization call.
 struct RefineScratch {
-  std::vector<std::uint64_t> next;  ///< indexed by position in the partition
-  std::vector<std::uint64_t> sig;
-  std::vector<std::uint64_t> scratch;
+  std::vector<std::uint32_t> first;    ///< node i's edge ends: [first[i], first[i + 1])
+  std::vector<std::int32_t> neighbor;  ///< per edge end: the neighbor's position
+  std::vector<std::uint64_t> tag;      ///< per edge end: hash_combine(1 in | 2 out, volume)
+  std::vector<std::uint64_t> hash;     ///< per node: this round's hash
+  std::vector<std::uint64_t> next;     ///< per node: the next round's hash
+  std::vector<std::uint64_t> sig;      ///< one node's signatures, kept sorted
+  std::vector<std::uint64_t> slots;    ///< distinct_classes' table
 };
+
+// Loads partition c into `rs`: the seeds from index.node_hash, and each
+// node's in-neighbors' then out-neighbors' positions, with the constant hash
+// of that edge end's (direction, volume).
+void load_partition(const TaskGraph& graph, const CanonicalPartitionIndex& index,
+                    std::int32_t c, std::span<const std::int32_t> pos, RefineScratch& rs) {
+  const std::span<const NodeId> nodes = index.nodes(c);
+  const std::size_t m = nodes.size();
+  std::size_t ends = 0;
+  for (const NodeId v : nodes) ends += graph.in_degree(v) + graph.out_degree(v);
+  rs.first.resize(m + 1);
+  rs.neighbor.resize(ends);
+  rs.tag.resize(ends);
+  rs.hash.resize(m);
+  rs.next.resize(m);
+  std::size_t k = 0;
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const NodeId v = nodes[i];
+    rs.first[i] = static_cast<std::uint32_t>(k);
+    rs.hash[i] = index.node_hash[static_cast<std::size_t>(v)];
+    for (const EdgeId e : graph.in_edges(v)) {
+      const Edge& edge = graph.edge(e);
+      rs.neighbor[k] = pos[static_cast<std::size_t>(edge.src)];
+      rs.tag[k++] = hash_combine(1, static_cast<std::uint64_t>(edge.volume));
+    }
+    for (const EdgeId e : graph.out_edges(v)) {
+      const Edge& edge = graph.edge(e);
+      rs.neighbor[k] = pos[static_cast<std::size_t>(edge.dst)];
+      rs.tag[k++] = hash_combine(2, static_cast<std::uint64_t>(edge.volume));
+    }
+    widest = std::max(widest, k - rs.first[i]);
+  }
+  rs.first[m] = static_cast<std::uint32_t>(k);
+  rs.sig.resize(widest);
+}
+
+// Weisfeiler-Leman rounds over the partition loaded into `rs`: a node's next
+// hash folds its hash with its signatures — one hash per edge end of
+// (direction, volume, neighbor hash) — in ascending order, then with their
+// count, so the fold hashes a multiset, never edge-id order. Rounds stop
+// when the class count stops growing, at the latest after 32. Leaves the
+// stabilized hashes in rs.hash.
+void refine_rounds(RefineScratch& rs) {
+  constexpr int kMaxRounds = 32;
+  // Above this many edge ends a node's signatures are sorted once instead of
+  // inserted one by one, which would cost quadratic time on a hub.
+  constexpr std::size_t kInsertionSortMax = 32;
+  const std::size_t m = rs.hash.size();
+  std::size_t classes = distinct_classes(rs.hash, rs.slots);
+  for (int round = 0; round < kMaxRounds && classes < m; ++round) {
+    std::uint64_t* const sig = rs.sig.data();
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint32_t begin = rs.first[i];
+      const std::size_t degree = rs.first[i + 1] - begin;
+      for (std::size_t j = 0; j < degree; ++j) {
+        const std::uint32_t k = begin + static_cast<std::uint32_t>(j);
+        const std::uint64_t s =
+            hash_combine(rs.tag[k], rs.hash[static_cast<std::size_t>(rs.neighbor[k])]);
+        std::size_t at = j;
+        if (degree <= kInsertionSortMax) {
+          for (; at > 0 && sig[at - 1] > s; --at) sig[at] = sig[at - 1];
+        }
+        sig[at] = s;
+      }
+      if (degree > kInsertionSortMax) std::sort(sig, sig + degree);
+      std::uint64_t h = rs.hash[i];
+      for (std::size_t j = 0; j < degree; ++j) h = hash_combine(h, sig[j]);
+      rs.next[i] = hash_combine(h, degree);
+    }
+    rs.hash.swap(rs.next);
+    const std::size_t refined = distinct_classes(rs.hash, rs.slots);
+    if (refined == classes) break;
+    classes = refined;
+  }
+}
 
 // Weisfeiler-Leman refinement + canonical (hash, original id) sort + rank
 // assignment for partition c. index.node_hash must hold the seed hashes of
-// the partition's nodes. Everything the loop reads — seeds, neighbor
+// the partition's nodes. Everything the rounds read — seeds, neighbor
 // volumes/hashes, the stop rule — is intrinsic to the partition, so running
 // it on the whole graph and on an extracted partition yields identical
 // hashes (the invariance canonical_partition_form needs).
-void refine_partition(const TaskGraph& graph, CanonicalPartitionIndex& index,
-                      std::int32_t c, RefineScratch& rs) {
-  constexpr int kMaxRounds = 32;
+void refine_partition(const TaskGraph& graph, CanonicalPartitionIndex& index, std::int32_t c,
+                      std::span<const std::int32_t> pos, RefineScratch& rs) {
+  load_partition(graph, index, c, pos, rs);
+  refine_rounds(rs);
   const std::span<const NodeId> nodes = index.nodes(c);
-  std::size_t classes = distinct_classes(nodes, index.node_hash, rs.scratch);
-  rs.next.resize(nodes.size());
-  for (int round = 0; round < kMaxRounds && classes < nodes.size(); ++round) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const NodeId v = nodes[i];
-      rs.sig.clear();
-      for (const EdgeId e : graph.in_edges(v)) {
-        const Edge& edge = graph.edge(e);
-        rs.sig.push_back(hash_combine(
-            hash_combine(1, static_cast<std::uint64_t>(edge.volume)),
-            index.node_hash[static_cast<std::size_t>(edge.src)]));
-      }
-      for (const EdgeId e : graph.out_edges(v)) {
-        const Edge& edge = graph.edge(e);
-        rs.sig.push_back(hash_combine(
-            hash_combine(2, static_cast<std::uint64_t>(edge.volume)),
-            index.node_hash[static_cast<std::size_t>(edge.dst)]));
-      }
-      // Sorting makes the fold order-free: the signature hashes a multiset
-      // of (direction, volume, neighbor class), never edge-id order.
-      std::sort(rs.sig.begin(), rs.sig.end());
-      std::uint64_t h = index.node_hash[static_cast<std::size_t>(v)];
-      for (const std::uint64_t s : rs.sig) h = hash_combine(h, s);
-      rs.next[i] = hash_combine(h, rs.sig.size());
-    }
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      index.node_hash[static_cast<std::size_t>(nodes[i])] = rs.next[i];
-    }
-    const std::size_t refined = distinct_classes(nodes, index.node_hash, rs.scratch);
-    if (refined == classes) break;
-    classes = refined;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    index.node_hash[static_cast<std::size_t>(nodes[i])] = rs.hash[i];
   }
 
   // Canonical order: (stabilized hash, original id) within the partition;
@@ -567,14 +666,15 @@ CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph,
                                                   std::span<const Rational> levels) {
   const std::size_t n = graph.node_count();
   CanonicalPartitionIndex index;
-  build_partition_groups(graph, index);
+  build_partition_groups(component_forest(graph), index);
 
   for (std::size_t v = 0; v < n; ++v) {
     index.node_hash[v] = seed_hash(graph, static_cast<NodeId>(v), levels[v]);
   }
 
+  const std::vector<std::int32_t> pos = partition_positions(index);
   RefineScratch rs;
-  for (std::int32_t c = 0; c < index.count; ++c) refine_partition(graph, index, c, rs);
+  for (std::int32_t c = 0; c < index.count; ++c) refine_partition(graph, index, c, pos, rs);
   return index;
 }
 
@@ -594,21 +694,12 @@ CanonicalPartitionIndex canonical_partition_index(
 std::optional<CanonicalPartitionIndex> composite_partition_index(
     const TaskGraph& graph, PartitionCanonMemo& memo,
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries) {
-  const std::size_t n = graph.node_count();
+  ComponentForest forest = component_forest(graph);
+  if (forest.roots <= 1) return std::nullopt;
   CanonicalPartitionIndex index;
-  build_partition_groups(graph, index);
-  if (index.count <= 1) return std::nullopt;
+  build_partition_groups(std::move(forest), index);
   if (entries) entries->assign(static_cast<std::size_t>(index.count), nullptr);
-
-  // Position of each node within its partition's ascending-id listing — the
-  // coordinate system of the memo key.
-  std::vector<std::int32_t> pos(n, 0);
-  for (std::int32_t c = 0; c < index.count; ++c) {
-    const std::span<const NodeId> nodes = index.nodes(c);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      pos[static_cast<std::size_t>(nodes[i])] = static_cast<std::int32_t>(i);
-    }
-  }
+  const std::vector<std::int32_t> pos = partition_positions(index);
 
   // Scratch for the miss path, indexed by position within the partition:
   // one missed partition of a large graph (the delta steady state) sizes it
@@ -678,7 +769,7 @@ std::optional<CanonicalPartitionIndex> composite_partition_index(
     for (std::size_t i = 0; i < size; ++i) {
       index.node_hash[static_cast<std::size_t>(ids[i])] = seed_hash(graph, ids[i], level[i]);
     }
-    refine_partition(graph, index, c, rs);
+    refine_partition(graph, index, c, pos, rs);
 
     PartitionCanonMemo::Ranks ranks;
     ranks.hash.reserve(size);

@@ -1,14 +1,18 @@
 #pragma once
 
 // Shared random-topology shapes for the property/fuzz suites
-// (test_fuzz.cpp, test_sim_engines.cpp, test_request.cpp): layered DAGs
-// exercising corner shapes the hand-built workloads do not (diamonds, wide
-// joins, deep skips), and a helper that composes them into multi-component
-// graphs.
+// (test_fuzz.cpp, test_sim_engines.cpp, test_request.cpp and the
+// differential suites): layered DAGs exercising corner shapes the
+// hand-built workloads do not (diamonds, wide joins, deep skips), tie-heavy
+// volumes, a helper that composes them into multi-component graphs, and one
+// that re-routes edges through buffer nodes.
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/task_graph.hpp"
+#include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts::testing {
@@ -66,6 +70,56 @@ inline void append_component(TaskGraph& graph, const TaskGraph& part, const std:
   for (const Edge& edge : part.edges()) {
     graph.add_edge(offset + edge.src, offset + edge.dst, edge.volume);
   }
+}
+
+/// Few distinct volumes on even seeds, so (level, volume) ties, which only
+/// the canonical rank breaks, are common; the generators' default range on
+/// odd seeds.
+inline VolumeDistribution volumes_for(std::uint64_t seed) {
+  return seed % 2 == 0 ? VolumeDistribution{4, 5} : VolumeDistribution{};
+}
+
+/// A copy of `graph` in which about a third of the producers send most of
+/// their out-edges through a fresh buffer node (producer -> buffer ->
+/// consumer, volumes kept), so readiness also propagates through absorbed
+/// buffers and a consumer can have both buffered and direct producers.
+inline TaskGraph reroute_through_buffers(const TaskGraph& graph, std::uint64_t seed) {
+  Prng rng(seed);
+  const std::size_t n = graph.node_count();
+  TaskGraph out;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    switch (graph.kind(v)) {
+      case NodeKind::kSource: (void)out.add_source(graph.declared_output(v)); break;
+      case NodeKind::kCompute: (void)out.add_compute(); break;
+      case NodeKind::kBuffer: (void)out.add_buffer(); break;
+      case NodeKind::kSink: (void)out.add_sink(); break;
+    }
+    if (graph.kind(v) != NodeKind::kSource && graph.declared_output(v) > 0) {
+      out.declare_output(v, graph.declared_output(v));
+    }
+  }
+  // Each producer is picked with probability 1/3; three in four of a
+  // picked producer's out-edges then go through its buffer, created on the
+  // first of them.
+  std::vector<bool> picked(n, false);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    picked[static_cast<std::size_t>(v)] =
+        graph.kind(v) != NodeKind::kBuffer && rng.uniform_int(0, 2) == 0;
+  }
+  std::vector<NodeId> buffer_of(n, kInvalidNode);
+  for (const Edge& edge : graph.edges()) {
+    const auto src = static_cast<std::size_t>(edge.src);
+    if (!picked[src] || rng.uniform_int(0, 3) == 0) {
+      (void)out.add_edge(edge.src, edge.dst, edge.volume);
+      continue;
+    }
+    if (buffer_of[src] == kInvalidNode) {
+      buffer_of[src] = out.add_buffer();
+      (void)out.add_edge(edge.src, buffer_of[src], edge.volume);
+    }
+    (void)out.add_edge(buffer_of[src], edge.dst, edge.volume);
+  }
+  return out;
 }
 
 }  // namespace sts::testing

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <queue>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "paper_examples.hpp"
+#include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace sts {
@@ -191,6 +195,89 @@ TEST(UndirectedCycles, DisconnectedComponents) {
   EXPECT_TRUE(on_cycle[1]);
   EXPECT_TRUE(on_cycle[2]);
   EXPECT_TRUE(on_cycle[3]);
+}
+
+/// True when u and v stay connected in the undirected multigraph `edges`
+/// without edge `skip` (breadth-first search).
+bool connected_without(std::size_t n,
+                       const std::vector<std::pair<std::int32_t, std::int32_t>>& edges,
+                       std::size_t skip, std::int32_t u, std::int32_t v) {
+  std::vector<std::vector<std::int32_t>> adj(n);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i == skip) continue;
+    adj[static_cast<std::size_t>(edges[i].first)].push_back(edges[i].second);
+    adj[static_cast<std::size_t>(edges[i].second)].push_back(edges[i].first);
+  }
+  std::vector<bool> seen(n, false);
+  std::queue<std::int32_t> frontier;
+  seen[static_cast<std::size_t>(u)] = true;
+  frontier.push(u);
+  while (!frontier.empty()) {
+    const std::int32_t x = frontier.front();
+    frontier.pop();
+    for (const std::int32_t y : adj[static_cast<std::size_t>(x)]) {
+      if (!seen[static_cast<std::size_t>(y)]) {
+        seen[static_cast<std::size_t>(y)] = true;
+        frontier.push(y);
+      }
+    }
+  }
+  return seen[static_cast<std::size_t>(v)];
+}
+
+TEST(UndirectedCycles, FlagsExactlyTheEdgesWhoseEndpointsStayConnectedWithoutThem) {
+  // Random small multigraphs: nodes split into up to four groups that only
+  // connect inside themselves (several components, isolated nodes), with
+  // parallel copies and the odd self-loop.
+  Prng rng(2024);
+  int with_parallel = 0;
+  int with_isolated = 0;
+  int with_components = 0;
+  for (int trial = 0; trial < 2500; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 14));
+    const std::int64_t groups = rng.uniform_int(1, 4);
+    std::vector<std::int64_t> group(n);
+    for (std::int64_t& g : group) g = rng.uniform_int(0, groups - 1);
+    std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    const std::int64_t target = rng.uniform_int(0, 2 * (last + 1));
+    bool parallel = false;
+    for (std::int64_t k = 0; k < target; ++k) {
+      if (!edges.empty() && rng.uniform_int(0, 5) == 0) {
+        edges.push_back(edges[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(edges.size()) - 1))]);
+        parallel = true;
+        continue;
+      }
+      const auto u = static_cast<std::int32_t>(rng.uniform_int(0, last));
+      const auto v = static_cast<std::int32_t>(rng.uniform_int(0, last));
+      if (group[static_cast<std::size_t>(u)] != group[static_cast<std::size_t>(v)]) continue;
+      if (u == v && rng.uniform_int(0, 3) != 0) continue;  // keep self-loops rare
+      edges.emplace_back(u, v);
+    }
+
+    std::vector<int> degree(n, 0);
+    std::set<std::int64_t> touched;
+    for (const auto& [u, v] : edges) {
+      ++degree[static_cast<std::size_t>(u)];
+      ++degree[static_cast<std::size_t>(v)];
+      touched.insert(group[static_cast<std::size_t>(u)]);
+    }
+    with_parallel += parallel ? 1 : 0;
+    with_isolated += std::count(degree.begin(), degree.end(), 0) > 0 && !edges.empty() ? 1 : 0;
+    with_components += touched.size() >= 2 ? 1 : 0;
+
+    const std::vector<bool> on_cycle = edges_on_undirected_cycles(n, edges);
+    ASSERT_EQ(on_cycle.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      ASSERT_EQ(on_cycle[i], connected_without(n, edges, i, edges[i].first, edges[i].second))
+          << "trial " << trial << ", edge " << i << " (" << edges[i].first << ", "
+          << edges[i].second << ")";
+    }
+  }
+  EXPECT_GE(with_parallel, 500);
+  EXPECT_GE(with_isolated, 500);
+  EXPECT_GE(with_components, 500);
 }
 
 }  // namespace

@@ -376,62 +376,12 @@ constexpr std::int64_t kDifferentialPes[] = {1, 2, 3, 5, 8, 16, 64};
   return ::testing::AssertionSuccess();
 }
 
-/// Few distinct volumes on even seeds, so (level, volume) ties, which only
-/// the canonical rank breaks, are common; the generators' default range on
-/// odd seeds.
-VolumeDistribution volumes_for(std::uint64_t seed) {
-  return seed % 2 == 0 ? VolumeDistribution{4, 5} : VolumeDistribution{};
-}
-
-/// A copy of `graph` in which about a third of the producers send most of
-/// their out-edges through a fresh buffer node (producer -> buffer ->
-/// consumer, volumes kept), so readiness also propagates through absorbed
-/// buffers and a consumer can have both buffered and direct producers.
-TaskGraph reroute_through_buffers(const TaskGraph& graph, std::uint64_t seed) {
-  Prng rng(seed);
-  const std::size_t n = graph.node_count();
-  TaskGraph out;
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
-    switch (graph.kind(v)) {
-      case NodeKind::kSource: (void)out.add_source(graph.declared_output(v)); break;
-      case NodeKind::kCompute: (void)out.add_compute(); break;
-      case NodeKind::kBuffer: (void)out.add_buffer(); break;
-      case NodeKind::kSink: (void)out.add_sink(); break;
-    }
-    if (graph.kind(v) != NodeKind::kSource && graph.declared_output(v) > 0) {
-      out.declare_output(v, graph.declared_output(v));
-    }
-  }
-  // Each producer is picked with probability 1/3; three in four of a
-  // picked producer's out-edges then go through its buffer, created on the
-  // first of them.
-  std::vector<bool> picked(n, false);
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
-    picked[static_cast<std::size_t>(v)] =
-        graph.kind(v) != NodeKind::kBuffer && rng.uniform_int(0, 2) == 0;
-  }
-  std::vector<NodeId> buffer_of(n, kInvalidNode);
-  for (const Edge& edge : graph.edges()) {
-    const auto src = static_cast<std::size_t>(edge.src);
-    if (!picked[src] || rng.uniform_int(0, 3) == 0) {
-      (void)out.add_edge(edge.src, edge.dst, edge.volume);
-      continue;
-    }
-    if (buffer_of[src] == kInvalidNode) {
-      buffer_of[src] = out.add_buffer();
-      (void)out.add_edge(edge.src, buffer_of[src], edge.volume);
-    }
-    (void)out.add_edge(buffer_of[src], edge.dst, edge.volume);
-  }
-  return out;
-}
-
 TEST(PartitionDifferential, FuzzShapesMatchFullScan) {
   int graphs = 0;
   for (int shape = 0; shape < 4; ++shape) {
     for (std::uint64_t seed = 1; seed <= 1000; ++seed, ++graphs) {
       const TaskGraph graph =
-          make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed));
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
       ASSERT_TRUE(matches_full_scan(graph)) << "shape " << shape << ", seed " << seed;
     }
   }
@@ -444,11 +394,13 @@ TEST(PartitionDifferential, TwoComponentGraphsMatchFullScan) {
     const int shape = static_cast<int>(seed % 4);
     TaskGraph graph;
     testing::append_component(
-        graph, make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed)), "a");
+        graph,
+        make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed)),
+        "a");
     testing::append_component(
         graph,
         make_random_layered(testing::fuzz_spec_for((shape + 1) % 4), seed + 7919,
-                            volumes_for(seed / 2)),
+                            testing::volumes_for(seed / 2)),
         "b");
     ASSERT_TRUE(matches_full_scan(graph)) << "seed " << seed;
   }
@@ -460,8 +412,8 @@ TEST(PartitionDifferential, BufferGraphsMatchFullScan) {
   int with_buffer = 0;
   for (int shape = 0; shape < 4; ++shape) {
     for (std::uint64_t seed = 1; seed <= 750; ++seed, ++graphs) {
-      const TaskGraph graph = reroute_through_buffers(
-          make_random_layered(testing::fuzz_spec_for(shape), seed, volumes_for(seed)),
+      const TaskGraph graph = testing::reroute_through_buffers(
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed)),
           seed * 4 + static_cast<std::uint64_t>(shape));
       with_buffer += stats_of(graph).buffer_nodes > 0 ? 1 : 0;
       ASSERT_TRUE(matches_full_scan(graph)) << "shape " << shape << ", seed " << seed;
@@ -476,10 +428,10 @@ TEST(PartitionDifferential, PaperTopologiesMatchFullScan) {
   for (std::uint64_t seed = 1; seed <= 250; ++seed) {
     const int scale = static_cast<int>(seed % 4);  // small to paper size
     for (const TaskGraph& graph :
-         {make_chain(2 + 2 * scale, seed, volumes_for(seed)),
-          make_fft(4 << scale, seed, volumes_for(seed)),
-          make_gaussian_elimination(4 + 4 * scale, seed, volumes_for(seed)),
-          make_cholesky(2 + 2 * scale, seed, volumes_for(seed))}) {
+         {make_chain(2 + 2 * scale, seed, testing::volumes_for(seed)),
+          make_fft(4 << scale, seed, testing::volumes_for(seed)),
+          make_gaussian_elimination(4 + 4 * scale, seed, testing::volumes_for(seed)),
+          make_cholesky(2 + 2 * scale, seed, testing::volumes_for(seed))}) {
       ++graphs;
       ASSERT_TRUE(matches_full_scan(graph)) << "seed " << seed << ", graph " << graphs;
     }

@@ -44,6 +44,14 @@ violation. Enforced rules:
     the CSR accessors in CSR_ACCESSORS. A cache hit keys a freshly copied or
     parsed graph, and any of those accessors would build that graph's CSR
     just to write bytes the flat arrays already hold.
+
+ 7. The canonical refinement's rounds read only flat, position-indexed
+    scratch: the bodies of REFINEMENT_ROUNDS (the function that runs the
+    Weisfeiler-Leman rounds in src/graph/serialization.cpp), and of every
+    function defined in the same file that they call, directly or through
+    each other, call none of CSR_ACCESSORS. The adjacency is built once per
+    partition, outside the rounds; a CSR walk inside them would fetch edge
+    spans and records again for every node in every round.
 """
 
 from __future__ import annotations
@@ -276,15 +284,16 @@ CSR_ACCESSORS = (
 NOT_CALLS = {"if", "for", "while", "switch", "catch", "return", "sizeof"}
 
 
-def check_writers_read_flat_arrays(errors: list[str]) -> None:
+def check_no_csr_reads(errors: list[str], roots: tuple[str, ...], why: str) -> None:
+    """Fails every call of a CSR accessor in the bodies of `roots` and of
+    every function defined in the same file that they call, directly or
+    through each other (every overload of a called name)."""
     found: set[str] = set()
     accessor = re.compile(r"\b(" + "|".join(CSR_ACCESSORS) + r")\s*\(")
     for path in sorted(SRC.rglob("*.cpp")):
         rel = path.relative_to(REPO).as_posix()
         text = strip_comments(path.read_text())
-        # Each writer defined here, then each function defined here that a
-        # checked body calls (every overload of a called name).
-        pending = [(name, start, end) for name, start, end in function_spans(text, FLAT_WRITERS)]
+        pending = [(name, start, end) for name, start, end in function_spans(text, roots)]
         found.update(name for name, _, _ in pending)
         seen = {(start, end) for _, start, end in pending}
         while pending:
@@ -292,12 +301,7 @@ def check_writers_read_flat_arrays(errors: list[str]) -> None:
             body = text[start:end]
             for match in accessor.finditer(body):
                 line = text.count("\n", 0, start + match.start()) + 1
-                fail(
-                    errors,
-                    f"{rel}:{line}: {name}() calls {match.group(1)}() — the key and wire "
-                    "writers read only the flat node and edge arrays (a CSR accessor builds "
-                    "the CSR of every freshly copied or parsed graph they write)",
-                )
+                fail(errors, f"{rel}:{line}: {name}() calls {match.group(1)}() — {why}")
             called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body)) - NOT_CALLS
             if not called:
                 continue
@@ -305,9 +309,30 @@ def check_writers_read_flat_arrays(errors: list[str]) -> None:
                 if (helper[1], helper[2]) not in seen:
                     seen.add((helper[1], helper[2]))
                     pending.append(helper)
-    for name in FLAT_WRITERS:
+    for name in roots:
         if name not in found:
-            fail(errors, f"src/: {name}() not found — update FLAT_WRITERS in tools/lint_sts.py")
+            fail(errors, f"src/: {name}() not found — update tools/lint_sts.py")
+
+
+def check_writers_read_flat_arrays(errors: list[str]) -> None:
+    check_no_csr_reads(
+        errors,
+        FLAT_WRITERS,
+        "the key and wire writers read only the flat node and edge arrays (a CSR accessor "
+        "builds the CSR of every freshly copied or parsed graph they write)",
+    )
+
+
+REFINEMENT_ROUNDS = ("refine_rounds",)
+
+
+def check_refinement_rounds_read_flat_scratch(errors: list[str]) -> None:
+    check_no_csr_reads(
+        errors,
+        REFINEMENT_ROUNDS,
+        "the refinement rounds read only the partition's flat adjacency, built once "
+        "outside them (a CSR walk would fetch edge spans and records every round)",
+    )
 
 
 def main() -> int:
@@ -318,6 +343,7 @@ def main() -> int:
     check_request_key_hashed_once(errors)
     check_one_outcome_type(errors)
     check_writers_read_flat_arrays(errors)
+    check_refinement_rounds_read_flat_scratch(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
