@@ -224,10 +224,16 @@ const char* to_string(PartitionVariant variant) noexcept {
 SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t num_pes,
                                           PartitionVariant variant, Workspace* ws,
                                           const CanonicalPartitionIndex* index) {
+  return partition_spatial_blocks(graph, num_pes, variant, node_levels(graph), ws, index);
+}
+
+SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t num_pes,
+                                          PartitionVariant variant,
+                                          std::span<const Rational> level, Workspace* ws,
+                                          const CanonicalPartitionIndex* index) {
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph, level);
@@ -287,10 +293,15 @@ SpatialPartition partition_spatial_blocks(const TaskGraph& graph, std::int64_t n
 
 SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes, Workspace* ws,
                                    const CanonicalPartitionIndex* index) {
+  return partition_by_work(graph, num_pes, node_levels(graph), ws, index);
+}
+
+SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
+                                   std::span<const Rational> level, Workspace* ws,
+                                   const CanonicalPartitionIndex* index) {
   Workspace local;
   Workspace& work = ws ? *ws : local;
   PartitionBuilder builder(graph, num_pes, work);
-  const std::vector<Rational> level = node_levels(graph);
   CanonicalPartitionIndex owned_index;
   if (!index) {
     owned_index = canonical_partition_index(graph, level);
@@ -322,6 +333,11 @@ SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
 
 bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,
                         std::int64_t num_pes) {
+  return partition_is_valid(graph, partition, num_pes, topological_order(graph));
+}
+
+bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,
+                        std::int64_t num_pes, std::span<const NodeId> order) {
   if (partition.block_of.size() != graph.node_count()) return false;
   std::vector<std::size_t> seen(partition.blocks.size(), 0);
   for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
@@ -341,7 +357,7 @@ bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partitio
   // Dependencies must not point backwards across blocks; buffer nodes relay
   // the max block of their producers.
   std::vector<std::int32_t> effective(partition.block_of.begin(), partition.block_of.end());
-  for (const NodeId v : topological_order(graph)) {
+  for (const NodeId v : order) {
     const auto idx = static_cast<std::size_t>(v);
     if (graph.kind(v) == NodeKind::kBuffer) {
       std::int32_t max_pred = 0;

@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/serialization.hpp"
 #include "graph/task_graph.hpp"
+#include "support/rational.hpp"
 #include "support/workspace.hpp"
 
 namespace sts {
@@ -52,15 +54,26 @@ struct SpatialPartition {
 /// SubgraphCache assemble whole-graph results from per-component fragments
 /// bit-identically to a cold run. Pass a precomputed `index` to skip the
 /// internal canonicalization (it must describe `graph`); without one, the
-/// canonicalization reuses the node levels the partitioner computes anyway.
+/// canonicalization seeds from the same node levels the partitioner reads.
 ///
 /// Each pick pops the least ready node under a strict total order from a
 /// heap; a partition costs O((N + E) log N). When a Workspace is given, its
 /// arena backs the builder scratch and the heaps (no per-node heap
 /// allocations).
+///
+/// This overload computes node_levels(graph) itself; a pipeline run passes
+/// the levels it already holds to the next one.
 [[nodiscard]] SpatialPartition partition_spatial_blocks(const TaskGraph& graph,
                                                         std::int64_t num_pes,
                                                         PartitionVariant variant,
+                                                        Workspace* ws = nullptr,
+                                                        const CanonicalPartitionIndex* index = nullptr);
+
+/// As above over `levels` == node_levels(graph).
+[[nodiscard]] SpatialPartition partition_spatial_blocks(const TaskGraph& graph,
+                                                        std::int64_t num_pes,
+                                                        PartitionVariant variant,
+                                                        std::span<const Rational> levels,
                                                         Workspace* ws = nullptr,
                                                         const CanonicalPartitionIndex* index = nullptr);
 
@@ -70,14 +83,27 @@ struct SpatialPartition {
 /// each connected partition (same component-sequential order as
 /// partition_spatial_blocks). Carries the
 /// T_P <= T1/P + T_s_inf + min(n-1, (x-1)(L-1)) guarantee per component.
+/// Computes node_levels(graph) itself, like the first partition_spatial_blocks.
 [[nodiscard]] SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
+                                                 Workspace* ws = nullptr,
+                                                 const CanonicalPartitionIndex* index = nullptr);
+
+/// As above over `levels` == node_levels(graph).
+[[nodiscard]] SpatialPartition partition_by_work(const TaskGraph& graph, std::int64_t num_pes,
+                                                 std::span<const Rational> levels,
                                                  Workspace* ws = nullptr,
                                                  const CanonicalPartitionIndex* index = nullptr);
 
 /// Checks structural sanity of a partition (used by tests and assertions):
 /// every PE node in exactly one block, capacity respected, dependencies flow
 /// forward (block_of[u] <= block_of[v] for every edge ignoring buffers).
+/// Computes a topological order of `graph` itself.
 [[nodiscard]] bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,
                                       std::int64_t num_pes);
+
+/// As above, relaying buffer blocks along the given topological `order` of
+/// `graph`; the verdict is the same for every topological order.
+[[nodiscard]] bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,
+                                      std::int64_t num_pes, std::span<const NodeId> order);
 
 }  // namespace sts

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 
@@ -45,6 +46,11 @@ std::size_t find_root(std::span<std::int32_t> parent, std::size_t x) {
 
 StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition partition,
                                      Workspace* ws) {
+  return schedule_streaming(graph, std::move(partition), topological_order(graph), ws);
+}
+
+StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition partition,
+                                     std::span<const NodeId> topo, Workspace* ws) {
   Workspace local;
   Workspace& work = ws ? *ws : local;
   Arena& arena = work.arena;
@@ -53,7 +59,6 @@ StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition pa
   sched.timing.assign(graph.node_count(), TaskTiming{});
   const std::size_t n = graph.node_count();
   const std::size_t num_blocks = partition.blocks.size();
-  const std::vector<NodeId> topo = topological_order(graph);
 
   // ---- Per-block active sets -------------------------------------------
   // Block k only ever touches its members plus the buffers feeding them.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/partition.hpp"
@@ -48,8 +49,19 @@ struct StreamingSchedule {
 /// rescanning the whole graph per block. A Workspace supplies that arena;
 /// pass nullptr for a self-contained local workspace. Results are identical
 /// either way.
+///
+/// This overload computes a topological order of `graph` itself; a pipeline
+/// run passes the one it already holds to the next one.
 [[nodiscard]] StreamingSchedule schedule_streaming(const TaskGraph& graph,
                                                    SpatialPartition partition,
+                                                   Workspace* ws = nullptr);
+
+/// As above over a given topological `order` of `graph`. The recurrences
+/// read only predecessors' timings and order-free maxima, so the schedule is
+/// the same for every topological order.
+[[nodiscard]] StreamingSchedule schedule_streaming(const TaskGraph& graph,
+                                                   SpatialPartition partition,
+                                                   std::span<const NodeId> order,
                                                    Workspace* ws = nullptr);
 
 }  // namespace sts

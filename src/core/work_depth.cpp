@@ -16,6 +16,10 @@ WorkDepth analyze_work_depth(const TaskGraph& graph) {
 }
 
 Rational streaming_depth(const TaskGraph& graph) {
+  return streaming_depth(graph, topological_order(graph));
+}
+
+Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order) {
   const std::size_t n = graph.node_count();
   const BufferSplitWccs wccs = buffer_split_wccs(graph);
   const auto wcc_count = static_cast<std::size_t>(wccs.count);
@@ -27,7 +31,7 @@ Rational streaming_depth(const TaskGraph& graph) {
   std::vector<Rational> wcc_level(wcc_count, Rational(0));
   std::vector<std::int64_t> wcc_max_vol(wcc_count, 0);
 
-  for (const NodeId v : topological_order(graph)) {
+  for (const NodeId v : order) {
     const auto idx = static_cast<std::size_t>(v);
     if (graph.kind(v) == NodeKind::kBuffer) {
       // The head contributes its per-edge replay volume to each consumer's

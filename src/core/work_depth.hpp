@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "graph/task_graph.hpp"
 #include "support/rational.hpp"
@@ -25,7 +26,12 @@ struct WorkDepth {
 
 [[nodiscard]] WorkDepth analyze_work_depth(const TaskGraph& graph);
 
-/// T_s_inf only, without analyze_work_depth's graph_level walk.
+/// T_s_inf only, without analyze_work_depth's graph_level walk. Computes a
+/// topological order of `graph` itself.
 [[nodiscard]] Rational streaming_depth(const TaskGraph& graph);
+
+/// As above over a given topological `order` of `graph`; the bound is the
+/// same for every topological order.
+[[nodiscard]] Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order);
 
 }  // namespace sts

@@ -121,9 +121,12 @@ TopoWaves topological_waves(const TaskGraph& graph, bool reverse) {
 }
 
 std::vector<Rational> node_levels(const TaskGraph& graph) {
+  return node_levels(graph, topological_waves(graph).order);
+}
+
+std::vector<Rational> node_levels(const TaskGraph& graph, std::span<const NodeId> order) {
   std::vector<Rational> level(graph.node_count(), Rational(0));
-  const TopoWaves waves = topological_waves(graph);
-  for (const NodeId v : waves.order) {
+  for (const NodeId v : order) {
     const auto ins = graph.in_edges(v);
     if (ins.empty()) {
       level[static_cast<std::size_t>(v)] = Rational(1);

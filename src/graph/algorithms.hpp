@@ -46,6 +46,13 @@ struct TopoWaves {
 /// production rates are.
 [[nodiscard]] std::vector<Rational> node_levels(const TaskGraph& graph);
 
+/// As above, walking a given topological order of `graph` (every node once,
+/// each after all its predecessors) instead of computing one. Levels are
+/// maxima over predecessors, so every topological order yields the same
+/// vector; the plain overload is this one over topological_waves(graph).
+[[nodiscard]] std::vector<Rational> node_levels(const TaskGraph& graph,
+                                                std::span<const NodeId> order);
+
 /// L(G) = max over nodes of L(v).
 [[nodiscard]] Rational graph_level(const TaskGraph& graph);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -551,6 +552,49 @@ void load_partition(const TaskGraph& graph, const CanonicalPartitionIndex& index
   rs.sig.resize(widest);
 }
 
+// One compare-exchange of a sorting network. std::min and std::max over
+// integers compile to conditional moves, so a network sorts without a
+// data-dependent branch.
+void compare_exchange(std::uint64_t& a, std::uint64_t& b) noexcept {
+  const std::uint64_t low = std::min(a, b);
+  b = std::max(a, b);
+  a = low;
+}
+
+// Sorts s[0..4) with the optimal five-comparator network.
+void sort4(std::uint64_t* s) noexcept {
+  compare_exchange(s[0], s[1]);
+  compare_exchange(s[2], s[3]);
+  compare_exchange(s[0], s[2]);
+  compare_exchange(s[1], s[3]);
+  compare_exchange(s[1], s[2]);
+}
+
+// Sorts s[0..8) with the optimal 19-comparator network (six layers; the
+// comparators of a layer are independent). Written out: as a loop over a pair
+// table the compiler keeps s in memory instead of registers.
+void sort8(std::uint64_t* s) noexcept {
+  compare_exchange(s[0], s[2]);
+  compare_exchange(s[1], s[3]);
+  compare_exchange(s[4], s[6]);
+  compare_exchange(s[5], s[7]);
+  compare_exchange(s[0], s[4]);
+  compare_exchange(s[1], s[5]);
+  compare_exchange(s[2], s[6]);
+  compare_exchange(s[3], s[7]);
+  compare_exchange(s[0], s[1]);
+  compare_exchange(s[2], s[3]);
+  compare_exchange(s[4], s[5]);
+  compare_exchange(s[6], s[7]);
+  compare_exchange(s[2], s[4]);
+  compare_exchange(s[3], s[5]);
+  compare_exchange(s[1], s[4]);
+  compare_exchange(s[3], s[6]);
+  compare_exchange(s[1], s[2]);
+  compare_exchange(s[3], s[4]);
+  compare_exchange(s[5], s[6]);
+}
+
 // Weisfeiler-Leman rounds over the partition loaded into `rs`: a node's next
 // hash folds its hash with its signatures — one hash per edge end of
 // (direction, volume, neighbor hash) — in ascending order, then with their
@@ -559,6 +603,12 @@ void load_partition(const TaskGraph& graph, const CanonicalPartitionIndex& index
 // stabilized hashes in rs.hash.
 void refine_rounds(RefineScratch& rs) {
   constexpr int kMaxRounds = 32;
+  // Up to this many edge ends a node's signatures go through sort4 or sort8,
+  // padded with UINT64_MAX. A pad sorts after every other signature, and one
+  // equal to it is the same value, so the first `degree` outputs are exactly
+  // the sorted signatures either way.
+  constexpr std::size_t kNetworkMax = 8;
+  constexpr std::uint64_t kPad = std::numeric_limits<std::uint64_t>::max();
   // Above this many edge ends a node's signatures are sorted once instead of
   // inserted one by one, which would cost quadratic time on a hub.
   constexpr std::size_t kInsertionSortMax = 32;
@@ -569,19 +619,32 @@ void refine_rounds(RefineScratch& rs) {
     for (std::size_t i = 0; i < m; ++i) {
       const std::uint32_t begin = rs.first[i];
       const std::size_t degree = rs.first[i + 1] - begin;
-      for (std::size_t j = 0; j < degree; ++j) {
+      const auto signature = [&rs, begin](std::size_t j) {
         const std::uint32_t k = begin + static_cast<std::uint32_t>(j);
-        const std::uint64_t s =
-            hash_combine(rs.tag[k], rs.hash[static_cast<std::size_t>(rs.neighbor[k])]);
-        std::size_t at = j;
-        if (degree <= kInsertionSortMax) {
-          for (; at > 0 && sig[at - 1] > s; --at) sig[at] = sig[at - 1];
-        }
-        sig[at] = s;
-      }
-      if (degree > kInsertionSortMax) std::sort(sig, sig + degree);
+        return hash_combine(rs.tag[k], rs.hash[static_cast<std::size_t>(rs.neighbor[k])]);
+      };
       std::uint64_t h = rs.hash[i];
-      for (std::size_t j = 0; j < degree; ++j) h = hash_combine(h, sig[j]);
+      if (degree <= kNetworkMax) {
+        std::uint64_t few[kNetworkMax] = {kPad, kPad, kPad, kPad, kPad, kPad, kPad, kPad};
+        for (std::size_t j = 0; j < degree; ++j) few[j] = signature(j);
+        if (degree <= 4) {
+          sort4(few);
+        } else {
+          sort8(few);
+        }
+        for (std::size_t j = 0; j < degree; ++j) h = hash_combine(h, few[j]);
+      } else {
+        for (std::size_t j = 0; j < degree; ++j) {
+          const std::uint64_t s = signature(j);
+          std::size_t at = j;
+          if (degree <= kInsertionSortMax) {
+            for (; at > 0 && sig[at - 1] > s; --at) sig[at] = sig[at - 1];
+          }
+          sig[at] = s;
+        }
+        if (degree > kInsertionSortMax) std::sort(sig, sig + degree);
+        for (std::size_t j = 0; j < degree; ++j) h = hash_combine(h, sig[j]);
+      }
       rs.next[i] = hash_combine(h, degree);
     }
     rs.hash.swap(rs.next);

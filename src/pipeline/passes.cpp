@@ -1,6 +1,7 @@
 #include "pipeline/passes.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -23,31 +24,34 @@ const char* to_string(PartitionStrategy strategy) noexcept {
 
 void PartitionPass::run(ScheduleContext& ctx) const {
   const TaskGraph& g = ctx.require_graph();
+  const std::span<const Rational> levels = ctx.topology().level;
   Workspace* const ws = ctx.workspace.get();
   switch (strategy_) {
     case PartitionStrategy::kLTS:
-      ctx.partition =
-          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kLTS, ws, ctx.canon);
+      ctx.partition = partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kLTS,
+                                               levels, ws, ctx.canon);
       break;
     case PartitionStrategy::kRLX:
-      ctx.partition =
-          partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kRLX, ws, ctx.canon);
+      ctx.partition = partition_spatial_blocks(g, ctx.machine.num_pes, PartitionVariant::kRLX,
+                                               levels, ws, ctx.canon);
       break;
     case PartitionStrategy::kWork:
-      ctx.partition = partition_by_work(g, ctx.machine.num_pes, ws, ctx.canon);
+      ctx.partition = partition_by_work(g, ctx.machine.num_pes, levels, ws, ctx.canon);
       break;
   }
 }
 
 void PartitionPass::validate(const ScheduleContext& ctx) const {
-  if (!partition_is_valid(ctx.require_graph(), ctx.require_partition(), ctx.machine.num_pes)) {
+  if (!partition_is_valid(ctx.require_graph(), ctx.require_partition(), ctx.machine.num_pes,
+                          ctx.require_topology().order)) {
     throw std::runtime_error("PartitionPass: produced an invalid spatial partition");
   }
 }
 
 void StreamingSchedulePass::run(ScheduleContext& ctx) const {
+  const std::span<const NodeId> order = ctx.topology().order;
   ctx.streaming =
-      schedule_streaming(ctx.require_graph(), ctx.require_partition(), ctx.workspace.get());
+      schedule_streaming(ctx.require_graph(), ctx.require_partition(), order, ctx.workspace.get());
   ctx.makespan = ctx.streaming->makespan;
 }
 
@@ -112,7 +116,7 @@ void MetricsPass::run(ScheduleContext& ctx) const {
   const std::int64_t t1 = g.total_work();
   if (ctx.makespan > 0) m.speedup = speedup(t1, ctx.makespan);
   if (ctx.streaming) {
-    ctx.streaming_depth_bound = streaming_depth(g);
+    ctx.streaming_depth_bound = streaming_depth(g, ctx.topology().order);
     m.slr = streaming_slr(ctx.streaming->makespan, ctx.streaming_depth_bound);
     m.utilization = streaming_utilization(g, *ctx.streaming, ctx.machine.num_pes);
   } else if (ctx.list) {

@@ -1,7 +1,9 @@
 #include "pipeline/schedule_context.hpp"
 
 #include <stdexcept>
+#include <utility>
 
+#include "graph/algorithms.hpp"
 #include "support/text.hpp"
 
 namespace sts {
@@ -21,6 +23,24 @@ std::string MachineConfig::cache_key() const {
     append_number(key, pe_speed[i]);
   }
   return key;
+}
+
+const GraphTopology& ScheduleContext::topology() {
+  if (!graph_topology) {
+    const TaskGraph& g = require_graph();
+    GraphTopology analysis;
+    analysis.order = topological_waves(g).order;
+    analysis.level = node_levels(g, analysis.order);
+    graph_topology = std::move(analysis);
+  }
+  return *graph_topology;
+}
+
+const GraphTopology& ScheduleContext::require_topology() const {
+  if (!graph_topology) {
+    throw std::logic_error("ScheduleContext: topology missing (run a partition pass first)");
+  }
+  return *graph_topology;
 }
 
 const TaskGraph& ScheduleContext::require_graph() const {

@@ -61,6 +61,18 @@ struct ScheduleMetrics {
   std::int64_t fifo_capacity = 0;  ///< total FIFO slots (streaming schedules)
 };
 
+/// The dependency-order analysis of a run's graph: one topological order and
+/// the generalized node levels (node_levels) computed along it. A streaming
+/// run computes it once (ScheduleContext::topology) and every pass that
+/// walks the graph in dependency order reads it: the partitioners and their
+/// canonicalization seeds, the partition check, the ST/FO/LO recurrences and
+/// the streaming depth bound. Their results are the same for every
+/// topological order.
+struct GraphTopology {
+  std::vector<NodeId> order;    ///< topological_waves(graph).order
+  std::vector<Rational> level;  ///< node_levels(graph, order)
+};
+
 /// Shared state threaded through a pipeline run: the immutable problem
 /// (graph + machine config) plus the artifacts each pass deposits for its
 /// successors. Artifacts start empty; a pass that needs a missing upstream
@@ -99,6 +111,18 @@ struct ScheduleContext {
 
   /// Per-pass wall-clock timings recorded by Pipeline::run.
   std::vector<PassTiming> timings;
+
+  /// The analysis topology() computed; empty until a pass first asks.
+  std::optional<GraphTopology> graph_topology;
+
+  /// The run's topological order and node levels, computed on the first call
+  /// and shared by every later one, so a context assembled by hand (graph
+  /// and machine only) gets them the same way a Scheduler's does.
+  [[nodiscard]] const GraphTopology& topology();
+
+  /// The analysis an earlier topology() call computed, for const readers
+  /// such as a pass's validate hook; throws std::logic_error when none ran.
+  [[nodiscard]] const GraphTopology& require_topology() const;
 
   [[nodiscard]] const TaskGraph& require_graph() const;
   [[nodiscard]] const SpatialPartition& require_partition() const;

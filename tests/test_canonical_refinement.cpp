@@ -1,11 +1,12 @@
 // canonical_partition_index against its former implementation. The library
 // refines on flat, position-indexed scratch (precomputed edge-end hashes,
-// signatures inserted in sorted order, an O(m) class count); this file keeps
-// the refinement it replaced as the reference: per round a CSR walk of every
-// node's edges, a per-node std::sort of its signatures, and a sort-and-unique
-// class count. Fragment assembly needs every hash and rank unchanged, so the
-// two must agree field for field on every graph, through the plain overload
-// and through the memo overload with a cold and a warm memo.
+// signatures ordered by a sorting network or inserted in sorted order, an
+// O(m) class count); this file keeps the refinement it replaced as the
+// reference: per round a CSR walk of every node's edges, a per-node
+// std::sort of its signatures, and a sort-and-unique class count. Fragment
+// assembly needs every hash and rank unchanged, so the two must agree field
+// for field on every graph, through the plain overload and through the memo
+// overload with a cold and a warm memo.
 
 #include <gtest/gtest.h>
 
@@ -261,16 +262,24 @@ TEST(RefinementDifferential, TwoComponentGraphsMatchTheFormerRefinement) {
 }
 
 TEST(RefinementDifferential, BufferGraphsMatchTheFormerRefinement) {
+  // Both buffer generators (see PartitionDifferential.BufferGraphsMatchFullScan):
+  // every cut_through_buffers graph passes validate().
   int graphs = 0;
+  int cut_valid = 0;
   for (int shape = 0; shape < 4; ++shape) {
     for (std::uint64_t seed = 1; seed <= 500; ++seed, ++graphs) {
-      const TaskGraph graph = testing::reroute_through_buffers(
-          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed)),
-          seed * 4 + static_cast<std::uint64_t>(shape));
-      ASSERT_TRUE(matches_reference(graph)) << "shape " << shape << ", seed " << seed;
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const std::uint64_t salt = seed * 4 + static_cast<std::uint64_t>(shape);
+      const TaskGraph cut = testing::cut_through_buffers(base, salt);
+      cut_valid += cut.validate().empty() ? 1 : 0;
+      ASSERT_TRUE(matches_reference(testing::reroute_through_buffers(base, salt)))
+          << "shape " << shape << ", seed " << seed;
+      ASSERT_TRUE(matches_reference(cut)) << "cut, shape " << shape << ", seed " << seed;
     }
   }
   EXPECT_EQ(graphs, 2000);
+  EXPECT_EQ(cut_valid, graphs);
 }
 
 TEST(RefinementDifferential, MixedInEdgeVolumesMatchTheFormerRefinement) {

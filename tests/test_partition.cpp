@@ -408,19 +408,31 @@ TEST(PartitionDifferential, TwoComponentGraphsMatchFullScan) {
 }
 
 TEST(PartitionDifferential, BufferGraphsMatchFullScan) {
+  // Both buffer generators: reroute_through_buffers's graphs mostly fail
+  // validate(), cut_through_buffers's all pass it, so the partitions compared
+  // here include buffer graphs a scheduler accepts.
   int graphs = 0;
   int with_buffer = 0;
+  int cut_with_buffer = 0;
+  int cut_valid = 0;
   for (int shape = 0; shape < 4; ++shape) {
     for (std::uint64_t seed = 1; seed <= 750; ++seed, ++graphs) {
-      const TaskGraph graph = testing::reroute_through_buffers(
-          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed)),
-          seed * 4 + static_cast<std::uint64_t>(shape));
-      with_buffer += stats_of(graph).buffer_nodes > 0 ? 1 : 0;
-      ASSERT_TRUE(matches_full_scan(graph)) << "shape " << shape << ", seed " << seed;
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const std::uint64_t salt = seed * 4 + static_cast<std::uint64_t>(shape);
+      const TaskGraph rerouted = testing::reroute_through_buffers(base, salt);
+      const TaskGraph cut = testing::cut_through_buffers(base, salt);
+      with_buffer += stats_of(rerouted).buffer_nodes > 0 ? 1 : 0;
+      cut_with_buffer += stats_of(cut).buffer_nodes > 0 ? 1 : 0;
+      cut_valid += cut.validate().empty() ? 1 : 0;
+      ASSERT_TRUE(matches_full_scan(rerouted)) << "shape " << shape << ", seed " << seed;
+      ASSERT_TRUE(matches_full_scan(cut)) << "cut, shape " << shape << ", seed " << seed;
     }
   }
   EXPECT_EQ(graphs, 3000);
   EXPECT_GE(with_buffer, 2000);
+  EXPECT_EQ(cut_valid, graphs);
+  EXPECT_EQ(cut_with_buffer, graphs);
 }
 
 TEST(PartitionDifferential, PaperTopologiesMatchFullScan) {

@@ -52,6 +52,16 @@ violation. Enforced rules:
     each other, call none of CSR_ACCESSORS. The adjacency is built once per
     partition, outside the rounds; a CSR walk inside them would fetch edge
     spans and records again for every node in every round.
+
+ 8. A streaming pipeline run analyzes its graph's dependency order once:
+    the run/validate bodies of the streaming passes in
+    src/pipeline/passes.cpp (STREAMING_PASSES), and every src/core/ function
+    they reach, directly or through each other, call none of
+    ORDER_ANALYSES. They take the run's topological order and node levels
+    from ScheduleContext::topology(). Each core function that takes the
+    analysis keeps a standalone overload for callers off the pipeline path,
+    which computes it; those overloads (STANDALONE_ENTRY_POINTS, told apart
+    by parameter count) are not followed.
 """
 
 from __future__ import annotations
@@ -78,10 +88,10 @@ def strip_comments(text: str) -> str:
     return re.sub(r"//[^\n]*", "", text)
 
 
-def function_spans(text: str, names: tuple[str, ...]):
-    """Yields (name, start, end) for every definition of a function whose
-    unqualified name is in `names`: text[start:end] is its body, found by
-    brace tracking from the definition's opening brace."""
+def function_definitions(text: str, names: tuple[str, ...]):
+    """Yields (name, parameters, start, end) for every definition of a
+    function whose unqualified name is in `names`: text[start:end] is its
+    body, found by brace tracking from the definition's opening brace."""
     pattern = re.compile(
         r"\b(?:[\w~]+\s*::\s*)*(" + "|".join(names) + r")\s*\(([^;{)]*)\)\s*"
         r"(?:const\s*)?(?:noexcept\s*)?(?:->\s*[\w:<>&\s]+)?\{"
@@ -95,8 +105,30 @@ def function_spans(text: str, names: tuple[str, ...]):
             elif text[i] == "}":
                 depth -= 1
                 if depth == 0:
-                    yield match.group(1), start, i + 1
+                    yield match.group(1), match.group(2), start, i + 1
                     break
+
+
+def function_spans(text: str, names: tuple[str, ...]):
+    """Yields (name, start, end) for every definition named in `names`."""
+    for name, _, start, end in function_definitions(text, names):
+        yield name, start, end
+
+
+def parameter_count(parameters: str) -> int:
+    """Parameters in a definition's parameter list (commas outside <>)."""
+    if not parameters.strip():
+        return 0
+    depth = 0
+    count = 1
+    for char in parameters:
+        if char == "<":
+            depth += 1
+        elif char == ">":
+            depth -= 1
+        elif char == "," and depth == 0:
+            count += 1
+    return count
 
 
 def function_bodies(text: str, names: tuple[str, ...]):
@@ -335,6 +367,81 @@ def check_refinement_rounds_read_flat_scratch(errors: list[str]) -> None:
     )
 
 
+STREAMING_PASSES = (
+    "PartitionPass",
+    "StreamingSchedulePass",
+    "BufferSizingPass",
+    "PlacementPass",
+    "MetricsPass",
+    "SimulationPass",
+)
+ORDER_ANALYSES = ("topological_order", "topological_waves", "node_levels", "graph_level")
+# (file, function, parameter count) of the overloads that compute the
+# analysis for callers off the pipeline path (tests, benches, examples,
+# optimal_partition, analyze_work_depth) and hand it to the overload the
+# passes call.
+STANDALONE_ENTRY_POINTS = {
+    ("src/core/partition.cpp", "partition_spatial_blocks", 5),
+    ("src/core/partition.cpp", "partition_by_work", 4),
+    ("src/core/partition.cpp", "partition_is_valid", 3),
+    ("src/core/streaming_schedule.cpp", "schedule_streaming", 3),
+    ("src/core/work_depth.cpp", "streaming_depth", 1),
+}
+
+
+def check_passes_share_one_topology(errors: list[str]) -> None:
+    passes_rel = "src/pipeline/passes.cpp"
+    passes_text = strip_comments((REPO / passes_rel).read_text())
+    core = {
+        path.relative_to(REPO).as_posix(): strip_comments(path.read_text())
+        for path in sorted((SRC / "core").glob("*.cpp"))
+    }
+    pass_bodies = re.compile(
+        r"\b(" + "|".join(STREAMING_PASSES) + r")::(run|validate)\s*\([^;{)]*\)\s*"
+        r"(?:const\s*)?\{"
+    )
+    pending = []
+    for match in pass_bodies.finditer(passes_text):
+        start = match.end() - 1
+        end = start + len(bracketed(passes_text, start, "{}")) + 2
+        pending.append((f"{match.group(1)}::{match.group(2)}", passes_rel, start, end))
+    for name in STREAMING_PASSES:
+        if not any(label.startswith(name + "::") for label, _, _, _ in pending):
+            fail(errors, f"{passes_rel}: {name}::run() not found — update tools/lint_sts.py")
+    for rel, name, count in sorted(STANDALONE_ENTRY_POINTS):
+        if not any(
+            parameter_count(parameters) == count
+            for _, parameters, _, _ in function_definitions(core.get(rel, ""), (name,))
+        ):
+            fail(errors, f"{rel}: no {count}-parameter {name}() — update tools/lint_sts.py")
+
+    analysis = re.compile(r"\b(" + "|".join(ORDER_ANALYSES) + r")\s*\(")
+    texts = {passes_rel: passes_text, **core}
+    seen = {(rel, start) for _, rel, start, _ in pending}
+    while pending:
+        label, rel, start, end = pending.pop()
+        text = texts[rel]
+        body = text[start:end]
+        for match in analysis.finditer(body):
+            line = text.count("\n", 0, start + match.start()) + 1
+            fail(
+                errors,
+                f"{rel}:{line}: {label}() calls {match.group(1)}() — a streaming run computes "
+                "its topological order and node levels once; take them from "
+                "ScheduleContext::topology()",
+            )
+        called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body)) - NOT_CALLS
+        if not called:
+            continue
+        for core_rel, core_text in core.items():
+            for name, parameters, s, e in function_definitions(core_text, tuple(sorted(called))):
+                if (core_rel, name, parameter_count(parameters)) in STANDALONE_ENTRY_POINTS:
+                    continue
+                if (core_rel, s) not in seen:
+                    seen.add((core_rel, s))
+                    pending.append((name, core_rel, s, e))
+
+
 def main() -> int:
     errors: list[str] = []
     check_stats_documented(errors)
@@ -344,6 +451,7 @@ def main() -> int:
     check_one_outcome_type(errors)
     check_writers_read_flat_arrays(errors)
     check_refinement_rounds_read_flat_scratch(errors)
+    check_passes_share_one_topology(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
