@@ -338,21 +338,26 @@ bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partitio
 
 bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,
                         std::int64_t num_pes, std::span<const NodeId> order) {
-  if (partition.block_of.size() != graph.node_count()) return false;
-  std::vector<std::size_t> seen(partition.blocks.size(), 0);
-  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
-    const auto block = partition.block_of[static_cast<std::size_t>(v)];
-    if (graph.occupies_pe(v)) {
-      if (block < 0 || static_cast<std::size_t>(block) >= partition.blocks.size()) return false;
-      ++seen[static_cast<std::size_t>(block)];
-    } else if (block != -1) {
-      return false;  // buffer nodes carry no block
+  const std::size_t n = graph.node_count();
+  if (partition.block_of.size() != n) return false;
+  // The block lists and block_of must agree exactly: every listed node names
+  // its list's block and is listed once, and every PE-occupying node is
+  // listed (so its block exists). Buffer nodes carry no block.
+  std::vector<bool> listed(n, false);
+  for (std::size_t b = 0; b < partition.blocks.size(); ++b) {
+    const std::vector<NodeId>& members = partition.blocks[b];
+    if (members.empty()) return false;
+    if (static_cast<std::int64_t>(members.size()) > num_pes) return false;
+    for (const NodeId u : members) {
+      if (u < 0 || static_cast<std::size_t>(u) >= n) return false;
+      const auto idx = static_cast<std::size_t>(u);
+      if (listed[idx] || partition.block_of[idx] != static_cast<std::int32_t>(b)) return false;
+      listed[idx] = true;
     }
   }
-  for (std::size_t b = 0; b < partition.blocks.size(); ++b) {
-    if (partition.blocks[b].empty()) return false;
-    if (static_cast<std::int64_t>(partition.blocks[b].size()) > num_pes) return false;
-    if (seen[b] != partition.blocks[b].size()) return false;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    const auto idx = static_cast<std::size_t>(v);
+    if (graph.occupies_pe(v) ? !listed[idx] : partition.block_of[idx] != -1) return false;
   }
   // Dependencies must not point backwards across blocks; buffer nodes relay
   // the max block of their producers.

@@ -95,7 +95,8 @@ struct SpatialPartition {
                                                  const CanonicalPartitionIndex* index = nullptr);
 
 /// Checks structural sanity of a partition (used by tests and assertions):
-/// every PE node in exactly one block, capacity respected, dependencies flow
+/// every PE node listed exactly once, in the block block_of names, and no
+/// other node listed; capacity respected; dependencies flow
 /// forward (block_of[u] <= block_of[v] for every edge ignoring buffers).
 /// Computes a topological order of `graph` itself.
 [[nodiscard]] bool partition_is_valid(const TaskGraph& graph, const SpatialPartition& partition,

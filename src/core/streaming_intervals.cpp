@@ -1,110 +1,129 @@
 #include "core/streaming_intervals.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace sts {
 
-namespace {
+StreamScratch StreamScratch::allocate(Arena& arena, std::size_t nodes) {
+  return {arena.alloc_array<NodeId>(nodes), arena.alloc_array<std::int64_t>(nodes),
+          arena.alloc_array<Rational>(nodes), arena.alloc_array<Rational>(nodes)};
+}
 
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
-
-StreamContext compute_stream_context(const TaskGraph& graph,
-                                     std::span<const std::int32_t> block_of,
-                                     std::int32_t block_id) {
-  const std::size_t n = graph.node_count();
-  const auto is_member = [&](NodeId v) {
-    if (graph.kind(v) == NodeKind::kBuffer) return false;
-    return block_id == kWholeGraph || block_of[static_cast<std::size_t>(v)] == block_id;
+void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> block_of,
+                          std::int32_t block_id, std::span<const NodeId> active,
+                          const StreamScratch& scratch) {
+  const auto is_member = [&](NodeId u) {
+    return graph.kind(u) != NodeKind::kBuffer &&
+           block_of[static_cast<std::size_t>(u)] == block_id;
   };
 
   // Components over member-to-member edges only (buffer-incident edges are
-  // independent memory streams).
-  UnionFind uf(n);
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
-    if (is_member(edge.src) && is_member(edge.dst)) {
-      uf.unite(static_cast<std::size_t>(edge.src), static_cast<std::size_t>(edge.dst));
-    }
+  // independent memory streams); each such edge is an in-edge of its member
+  // head. One scan of the members' in-edges unites them and leaves in
+  // root_max[v] the volume member v alone imposes; the next pass raises each
+  // root's slot to its component's maximum (a root's slot already holds its
+  // own volume, and no other slot is read again).
+  for (const NodeId v : active) {
+    if (is_member(v)) scratch.parent[static_cast<std::size_t>(v)] = v;
   }
-
-  StreamContext ctx;
-  ctx.node_wcc.assign(n, -1);
-  std::vector<std::int32_t> compact(n, -1);
-  std::int32_t next = 0;
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+  for (const NodeId v : active) {
     if (!is_member(v)) continue;
-    const std::size_t root = uf.find(static_cast<std::size_t>(v));
-    if (compact[root] < 0) compact[root] = next++;
-    ctx.node_wcc[static_cast<std::size_t>(v)] = compact[root];
-  }
-  ctx.wcc_max.assign(static_cast<std::size_t>(next), 0);
-
-  const auto raise = [&](std::int32_t wcc, std::int64_t volume) {
-    if (wcc >= 0) {
-      auto& slot = ctx.wcc_max[static_cast<std::size_t>(wcc)];
-      slot = std::max(slot, volume);
-    }
-  };
-
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    if (!is_member(v)) continue;
-    raise(ctx.node_wcc[idx], graph.output_volume(v));
+    std::int64_t volume = graph.output_volume(v);
     // Block-source / buffer-fed ingestion: streams arriving from memory join
     // the component's steady state with their per-edge volume.
     bool direct_stream_pred = false;
     for (const EdgeId e : graph.in_edges(v)) {
       const NodeId u = graph.edge(e).src;
       if (graph.kind(u) == NodeKind::kBuffer) {
-        raise(ctx.node_wcc[idx], graph.output_volume(u));  // head replay
-      } else if (is_member(u)) {
+        volume = std::max(volume, graph.output_volume(u));  // head replay
+      } else if (block_of[static_cast<std::size_t>(u)] == block_id) {
         direct_stream_pred = true;
+        unite(scratch.parent, u, v);
       }
     }
     if (!direct_stream_pred && graph.in_degree(v) > 0 && graph.input_volume(v) > 0) {
-      raise(ctx.node_wcc[idx], graph.input_volume(v));
+      volume = std::max(volume, graph.input_volume(v));
     }
+    scratch.root_max[static_cast<std::size_t>(v)] = volume;
+  }
+  for (const NodeId v : active) {
+    if (!is_member(v)) continue;
+    auto& slot = scratch.root_max[static_cast<std::size_t>(find_root(scratch.parent, v))];
+    slot = std::max(slot, scratch.root_max[static_cast<std::size_t>(v)]);
   }
 
-  ctx.s_in.assign(n, Rational(0));
-  ctx.s_out.assign(n, Rational(0));
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+  for (const NodeId v : active) {
     const auto idx = static_cast<std::size_t>(v);
     if (is_member(v)) {
-      const std::int64_t maxvol = ctx.wcc_max[static_cast<std::size_t>(ctx.node_wcc[idx])];
-      if (graph.input_volume(v) > 0) ctx.s_in[idx] = Rational(maxvol, graph.input_volume(v));
-      if (graph.output_volume(v) > 0) ctx.s_out[idx] = Rational(maxvol, graph.output_volume(v));
-    } else if (graph.kind(v) == NodeKind::kBuffer && graph.output_volume(v) > 0) {
-      // Report the slowest per-edge emission interval towards members.
+      const std::int64_t maxvol = scratch.root_max[static_cast<std::size_t>(
+          find_root(scratch.parent, v))];
+      scratch.s_in[idx] = graph.input_volume(v) > 0 ? Rational(maxvol, graph.input_volume(v))
+                                                    : Rational(0);
+      scratch.s_out[idx] = graph.output_volume(v) > 0
+                               ? Rational(maxvol, graph.output_volume(v))
+                               : Rational(0);
+    } else if (graph.output_volume(v) > 0) {
+      // Buffer: the slowest per-edge emission interval towards this block's
+      // members (buffer replays are per-edge streams; the per-edge interval
+      // equals the consumer's S_i).
       Rational slowest(0);
       for (const EdgeId e : graph.out_edges(v)) {
         const NodeId w = graph.edge(e).dst;
-        const auto wcc = ctx.node_wcc[static_cast<std::size_t>(w)];
-        if (wcc < 0) continue;
-        slowest = std::max(slowest, Rational(ctx.wcc_max[static_cast<std::size_t>(wcc)],
-                                             graph.output_volume(v)));
+        if (!is_member(w)) continue;
+        slowest = std::max(
+            slowest, Rational(scratch.root_max[static_cast<std::size_t>(
+                                  find_root(scratch.parent, w))],
+                              graph.output_volume(v)));
       }
-      ctx.s_out[idx] = slowest;
+      scratch.s_out[idx] = slowest;
+    } else {
+      scratch.s_out[idx] = Rational(0);
     }
+  }
+}
+
+StreamContext compute_stream_context(const TaskGraph& graph,
+                                     std::span<const std::int32_t> block_of,
+                                     std::int32_t block_id) {
+  const std::size_t n = graph.node_count();
+  // The whole graph is one block holding every PE-occupying node.
+  std::vector<std::int32_t> whole;
+  if (block_id == kWholeGraph) {
+    whole.assign(n, 0);
+    block_of = whole;
+    block_id = 0;
+  }
+  const auto is_member = [&](NodeId v) {
+    return graph.kind(v) != NodeKind::kBuffer &&
+           block_of[static_cast<std::size_t>(v)] == block_id;
+  };
+  // The active set in id order: the members and every buffer (one feeding
+  // no member gets S_o = 0, as it would outside the active set).
+  std::vector<NodeId> active;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    if (graph.kind(v) == NodeKind::kBuffer || is_member(v)) active.push_back(v);
+  }
+  Arena arena;
+  const StreamScratch scratch = StreamScratch::allocate(arena, n);
+  block_stream_context(graph, block_of, block_id, active, scratch);
+
+  // Components are numbered in order of their lowest member id.
+  StreamContext ctx;
+  ctx.s_in.assign(n, Rational(0));
+  ctx.s_out.assign(n, Rational(0));
+  ctx.node_wcc.assign(n, -1);
+  std::vector<std::int32_t> compact(n, -1);
+  for (const NodeId v : active) {
+    const auto idx = static_cast<std::size_t>(v);
+    ctx.s_out[idx] = scratch.s_out[idx];
+    if (!is_member(v)) continue;
+    ctx.s_in[idx] = scratch.s_in[idx];
+    const auto root = static_cast<std::size_t>(find_root(scratch.parent, v));
+    if (compact[root] < 0) {
+      compact[root] = static_cast<std::int32_t>(ctx.wcc_max.size());
+      ctx.wcc_max.push_back(scratch.root_max[root]);
+    }
+    ctx.node_wcc[idx] = compact[root];
   }
   return ctx;
 }

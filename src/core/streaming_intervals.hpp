@@ -6,6 +6,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/task_graph.hpp"
+#include "support/arena.hpp"
 #include "support/rational.hpp"
 
 namespace sts {
@@ -56,6 +57,32 @@ inline constexpr std::int32_t kWholeGraph = -2;
 [[nodiscard]] StreamContext compute_stream_context(const TaskGraph& graph,
                                                    std::span<const std::int32_t> block_of,
                                                    std::int32_t block_id);
+
+/// Per-node scratch of block_stream_context: every span is sized to the
+/// graph's node count and indexed by NodeId. A run scheduling block after
+/// block keeps one for all of them, since the kernel reads and writes only
+/// the slots of the block's active nodes.
+struct StreamScratch {
+  std::span<NodeId> parent;          ///< union-find forest over the block's members
+  std::span<std::int64_t> root_max;  ///< at each component root: the dominating volume
+  std::span<Rational> s_in;          ///< per member: S_i
+  std::span<Rational> s_out;         ///< per active node: S_o
+
+  /// Uninitialized spans for a graph of `nodes` nodes, from `arena`.
+  [[nodiscard]] static StreamScratch allocate(Arena& arena, std::size_t nodes);
+};
+
+/// The stream context of block `block_id` under `block_of` (a real block id,
+/// not kWholeGraph), computed over `active`: the block's members and every
+/// buffer feeding one, in any order (a buffer feeding no member gets
+/// S_o = 0). Writes S_i of every member, S_o of every active node, and
+/// leaves the members' components in scratch.parent with each root's
+/// dominating volume in scratch.root_max.
+/// O(active nodes + their edges); compute_stream_context and
+/// schedule_streaming both run on it.
+void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> block_of,
+                          std::int32_t block_id, std::span<const NodeId> active,
+                          const StreamScratch& scratch);
 
 /// Whole-graph streaming intervals (Theorem 4.1).
 [[nodiscard]] StreamContext streaming_intervals(const TaskGraph& graph);

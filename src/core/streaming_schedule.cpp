@@ -34,14 +34,6 @@ std::int64_t tail_extra(const TaskGraph& graph, NodeId v, const Rational& s_out)
   return 0;
 }
 
-std::size_t find_root(std::span<std::int32_t> parent, std::size_t x) {
-  while (parent[x] != static_cast<std::int32_t>(x)) {
-    parent[x] = parent[static_cast<std::size_t>(parent[x])];  // path halving
-    x = static_cast<std::size_t>(parent[x]);
-  }
-  return x;
-}
-
 }  // namespace
 
 StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition partition,
@@ -110,16 +102,9 @@ StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition pa
     }
   }
 
-  // ---- Block-local stream-context scratch ------------------------------
-  // Same recurrences as compute_stream_context, restricted to one block's
-  // active set: union-find over member-member edges, component maxima from
-  // member output volumes, buffer head replays, and block-source ingestion.
-  // All arrays persist across blocks; only active slots are (re)written, so
-  // no per-block O(N) clearing either.
-  const std::span<std::int32_t> parent = arena.alloc_array<std::int32_t>(n);
-  const std::span<std::int64_t> root_max = arena.alloc_array<std::int64_t>(n);
-  const std::span<Rational> s_in = arena.alloc_array<Rational>(n);
-  const std::span<Rational> s_out = arena.alloc_array<Rational>(n);
+  // Block-local stream contexts over persistent scratch: only active slots
+  // are (re)written, so no per-block O(N) clearing either.
+  const StreamScratch scratch = StreamScratch::allocate(arena, n);
 
   // Per-block buffer head release: FO(buffer) = max predecessors' LO + 1,
   // clamped to the serving block's release (a buffer may feed several
@@ -132,77 +117,7 @@ StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition pa
     const auto block_id = static_cast<std::int32_t>(k);
     const std::span<const NodeId> active =
         active_nodes.subspan(active_offset[k], active_offset[k + 1] - active_offset[k]);
-    const auto is_member = [&](NodeId u) {
-      return graph.kind(u) != NodeKind::kBuffer &&
-             partition.block_of[static_cast<std::size_t>(u)] == block_id;
-    };
-
-    // Union member-member edges (each appears once as an in-edge of its
-    // member head), then accumulate component maxima at the roots.
-    for (const NodeId v : active) {
-      if (!is_member(v)) continue;
-      parent[static_cast<std::size_t>(v)] = v;
-      root_max[static_cast<std::size_t>(v)] = 0;
-    }
-    for (const NodeId v : active) {
-      if (!is_member(v)) continue;
-      for (const EdgeId e : graph.in_edges(v)) {
-        const NodeId u = graph.edge(e).src;
-        if (graph.kind(u) != NodeKind::kBuffer && is_member(u)) {
-          const std::size_t ru = find_root(parent, static_cast<std::size_t>(u));
-          const std::size_t rv = find_root(parent, static_cast<std::size_t>(v));
-          if (ru != rv) parent[ru] = static_cast<std::int32_t>(rv);
-        }
-      }
-    }
-    const auto raise = [&](NodeId v, std::int64_t volume) {
-      auto& slot = root_max[find_root(parent, static_cast<std::size_t>(v))];
-      slot = std::max(slot, volume);
-    };
-    for (const NodeId v : active) {
-      if (!is_member(v)) continue;
-      raise(v, graph.output_volume(v));
-      // Block-source / buffer-fed ingestion: streams arriving from memory
-      // join the component's steady state with their per-edge volume.
-      bool direct_stream_pred = false;
-      for (const EdgeId e : graph.in_edges(v)) {
-        const NodeId u = graph.edge(e).src;
-        if (graph.kind(u) == NodeKind::kBuffer) {
-          raise(v, graph.output_volume(u));  // head replay
-        } else if (is_member(u)) {
-          direct_stream_pred = true;
-        }
-      }
-      if (!direct_stream_pred && graph.in_degree(v) > 0 && graph.input_volume(v) > 0) {
-        raise(v, graph.input_volume(v));
-      }
-    }
-    for (const NodeId v : active) {
-      const auto idx = static_cast<std::size_t>(v);
-      if (is_member(v)) {
-        const std::int64_t maxvol = root_max[find_root(parent, idx)];
-        s_in[idx] = graph.input_volume(v) > 0 ? Rational(maxvol, graph.input_volume(v))
-                                              : Rational(0);
-        s_out[idx] = graph.output_volume(v) > 0 ? Rational(maxvol, graph.output_volume(v))
-                                                : Rational(0);
-      } else if (graph.output_volume(v) > 0) {
-        // Buffer: the slowest per-edge emission interval towards this
-        // block's members (buffer replays are per-edge streams; the
-        // per-edge interval equals the consumer's S_i).
-        Rational slowest(0);
-        for (const EdgeId e : graph.out_edges(v)) {
-          const NodeId w = graph.edge(e).dst;
-          if (!is_member(w)) continue;
-          slowest = std::max(
-              slowest,
-              Rational(root_max[find_root(parent, static_cast<std::size_t>(w))],
-                       graph.output_volume(v)));
-        }
-        s_out[idx] = slowest;
-      } else {
-        s_out[idx] = Rational(0);
-      }
-    }
+    block_stream_context(graph, partition.block_of, block_id, active, scratch);
 
     // ---- Timing recurrences over the active set (topological order) ----
     std::int64_t block_finish = block_release;
@@ -221,8 +136,8 @@ StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition pa
           TaskTiming& t = sched.timing[idx];
           t.start = head_fo[idx] - 1;
           t.first_out = head_fo[idx];
-          t.s_out = s_out[idx];
-          t.last_out = head_fo[idx] + ceil_mul(graph.output_volume(v) - 1, s_out[idx]);
+          t.s_out = scratch.s_out[idx];
+          t.last_out = head_fo[idx] + ceil_mul(graph.output_volume(v) - 1, t.s_out);
           t.block = -1;
           t.pe = -1;
         }
@@ -231,8 +146,8 @@ StreamingSchedule schedule_streaming(const TaskGraph& graph, SpatialPartition pa
 
       TaskTiming& t = sched.timing[idx];
       t.block = block_id;
-      t.s_in = s_in[idx];
-      t.s_out = s_out[idx];
+      t.s_in = scratch.s_in[idx];
+      t.s_out = scratch.s_out[idx];
 
       // Streaming predecessors: same-block members and buffer heads. Other
       // predecessors finished in earlier blocks; their data sits in memory

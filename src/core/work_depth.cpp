@@ -72,44 +72,21 @@ Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order) 
     }
   }
 
-  // Supernode DAG H: one node per WCC with weight L(WCC) + maxO(WCC)
-  // (Equation 4); an edge per buffer from each writer WCC to each reader
-  // WCC. The streaming depth bound is the heaviest path weight in H.
-  std::vector<Rational> wcc_weight(wcc_count, Rational(0));
+  // Supernode DAG H weighted by L(WCC) + maxO(WCC) per supernode
+  // (Equation 4): the streaming depth bound is the heaviest path weight in H.
+  std::vector<Rational> weight(wcc_count, Rational(0));
   for (std::size_t c = 0; c < wcc_count; ++c) {
-    wcc_weight[c] = wcc_level[c] + Rational(wcc_max_vol[c]);
+    weight[c] = wcc_level[c] + Rational(wcc_max_vol[c]);
   }
-
-  std::vector<std::vector<std::int32_t>> adj(wcc_count);
-  std::vector<std::size_t> deg(wcc_count, 0);
-  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
-    if (graph.kind(v) != NodeKind::kBuffer) continue;
-    for (const EdgeId in : graph.in_edges(v)) {
-      const auto tail = wccs.node_wcc[static_cast<std::size_t>(graph.edge(in).src)];
-      if (tail < 0) continue;
-      for (const EdgeId out : graph.out_edges(v)) {
-        const auto head = wccs.node_wcc[static_cast<std::size_t>(graph.edge(out).dst)];
-        if (head < 0 || head == tail) continue;
-        adj[static_cast<std::size_t>(tail)].push_back(head);
-        ++deg[static_cast<std::size_t>(head)];
-      }
-    }
-  }
-  std::vector<Rational> path(wcc_weight);
-  std::vector<std::int32_t> stack;
-  for (std::size_t c = 0; c < wcc_count; ++c) {
-    if (deg[c] == 0) stack.push_back(static_cast<std::int32_t>(c));
-  }
+  const SupernodeDag dag = buffer_supernode_dag(graph, wccs);
+  std::vector<Rational> path(weight);
   Rational deepest(0);
-  while (!stack.empty()) {
-    const auto u = stack.back();
-    stack.pop_back();
-    deepest = std::max(deepest, path[static_cast<std::size_t>(u)]);
-    for (const auto w : adj[static_cast<std::size_t>(u)]) {
-      path[static_cast<std::size_t>(w)] =
-          std::max(path[static_cast<std::size_t>(w)],
-                   path[static_cast<std::size_t>(u)] + wcc_weight[static_cast<std::size_t>(w)]);
-      if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
+  for (const auto u : dag.kahn_order()) {
+    const auto from = static_cast<std::size_t>(u);
+    deepest = std::max(deepest, path[from]);
+    for (const auto w : dag.succ[from]) {
+      const auto to = static_cast<std::size_t>(w);
+      path[to] = std::max(path[to], path[from] + weight[to]);
     }
   }
   return deepest;

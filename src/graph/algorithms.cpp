@@ -9,27 +9,6 @@ namespace sts {
 
 namespace {
 
-/// Union-find with path halving; small utility local to this TU.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
 std::vector<std::size_t> in_degrees(const TaskGraph& graph) {
   std::vector<std::size_t> deg(graph.node_count());
   for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
@@ -150,11 +129,11 @@ Rational graph_level(const TaskGraph& graph) {
 
 BufferSplitWccs buffer_split_wccs(const TaskGraph& graph) {
   const std::size_t n = graph.node_count();
-  UnionFind uf(n);
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
+  std::vector<NodeId> parent(n);
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  for (const Edge& edge : graph.edges()) {
     if (graph.kind(edge.src) != NodeKind::kBuffer && graph.kind(edge.dst) != NodeKind::kBuffer) {
-      uf.unite(static_cast<std::size_t>(edge.src), static_cast<std::size_t>(edge.dst));
+      unite(parent, edge.src, edge.dst);
     }
   }
   BufferSplitWccs result;
@@ -163,7 +142,7 @@ BufferSplitWccs buffer_split_wccs(const TaskGraph& graph) {
   std::int32_t next = 0;
   for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
     if (graph.kind(v) == NodeKind::kBuffer) continue;
-    const std::size_t root = uf.find(static_cast<std::size_t>(v));
+    const auto root = static_cast<std::size_t>(find_root(parent, v));
     if (compact[root] < 0) compact[root] = next++;
     result.node_wcc[static_cast<std::size_t>(v)] = compact[root];
   }
@@ -171,42 +150,57 @@ BufferSplitWccs buffer_split_wccs(const TaskGraph& graph) {
   return result;
 }
 
-bool buffer_supernode_dag_is_acyclic(const TaskGraph& graph) {
-  const BufferSplitWccs wccs = buffer_split_wccs(graph);
-  const auto n = static_cast<std::size_t>(wccs.count);
-  std::vector<std::vector<std::int32_t>> adj(n);
-  std::vector<std::size_t> deg(n, 0);
+SupernodeDag buffer_supernode_dag(const TaskGraph& graph, const BufferSplitWccs& wccs) {
+  SupernodeDag dag;
+  dag.succ.resize(static_cast<std::size_t>(wccs.count));
+  // node_wcc is -1 exactly at buffers, so it answers "is this a buffer?"
+  // from the compact component array.
   for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
     if (graph.kind(v) != NodeKind::kBuffer) continue;
-    // One supernode edge per (writer WCC, reader WCC) pair of this buffer.
     for (const EdgeId in : graph.in_edges(v)) {
-      const NodeId writer = graph.edge(in).src;
-      if (graph.kind(writer) == NodeKind::kBuffer) return false;  // buffer chain
-      const auto tail = wccs.node_wcc[static_cast<std::size_t>(writer)];
+      const auto tail = wccs.node_wcc[static_cast<std::size_t>(graph.edge(in).src)];
+      if (tail < 0) {
+        dag.degenerate = true;  // buffer chain
+        continue;
+      }
+      std::vector<std::int32_t>& heads = dag.succ[static_cast<std::size_t>(tail)];
       for (const EdgeId out : graph.out_edges(v)) {
-        const NodeId reader = graph.edge(out).dst;
-        if (graph.kind(reader) == NodeKind::kBuffer) return false;
-        const auto head = wccs.node_wcc[static_cast<std::size_t>(reader)];
-        if (tail == head) return false;  // cycle within one WCC
-        adj[static_cast<std::size_t>(tail)].push_back(head);
-        ++deg[static_cast<std::size_t>(head)];
+        const auto head = wccs.node_wcc[static_cast<std::size_t>(graph.edge(out).dst)];
+        if (head < 0 || head == tail) {
+          dag.degenerate = true;
+          continue;
+        }
+        if (heads.empty() || heads.back() != head) heads.push_back(head);
       }
     }
   }
-  std::vector<std::int32_t> stack;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (deg[i] == 0) stack.push_back(static_cast<std::int32_t>(i));
+  return dag;
+}
+
+std::vector<std::int32_t> SupernodeDag::kahn_order() const {
+  std::vector<std::size_t> deg(succ.size(), 0);
+  for (const auto& heads : succ) {
+    for (const auto w : heads) ++deg[static_cast<std::size_t>(w)];
   }
-  std::size_t seen = 0;
-  while (!stack.empty()) {
-    const auto u = stack.back();
-    stack.pop_back();
-    ++seen;
-    for (const auto w : adj[static_cast<std::size_t>(u)]) {
-      if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
+  // The order doubles as the queue: a supernode is appended once its last
+  // predecessor is taken.
+  std::vector<std::int32_t> order;
+  order.reserve(succ.size());
+  for (std::size_t c = 0; c < succ.size(); ++c) {
+    if (deg[c] == 0) order.push_back(static_cast<std::int32_t>(c));
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const auto w : succ[static_cast<std::size_t>(order[i])]) {
+      if (--deg[static_cast<std::size_t>(w)] == 0) order.push_back(w);
     }
   }
-  return seen == n;
+  return order;
+}
+
+bool buffer_supernode_dag_is_acyclic(const TaskGraph& graph) {
+  const BufferSplitWccs wccs = buffer_split_wccs(graph);
+  const SupernodeDag dag = buffer_supernode_dag(graph, wccs);
+  return !dag.degenerate && dag.kahn_order().size() == static_cast<std::size_t>(wccs.count);
 }
 
 std::vector<bool> edges_on_undirected_cycles(

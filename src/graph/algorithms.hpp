@@ -56,6 +56,32 @@ struct TopoWaves {
 /// L(G) = max over nodes of L(v).
 [[nodiscard]] Rational graph_level(const TaskGraph& graph);
 
+/// Root of v's class in a union-find forest over `parent`, a caller-owned
+/// array in which parent[v] == v marks a root. Path halving: every node the
+/// walk passes is re-hung under its grandparent, which keeps the trees flat
+/// enough for near-linear total time without union by rank. This is the one
+/// union-find of the library: the buffer-split components, the stream
+/// contexts, the canonicalization's partition forest and the generators'
+/// volume classes all run on it.
+inline NodeId find_root(std::span<NodeId> parent, NodeId v) {
+  // Node ids are non-negative, so the walk indexes with unsigned 32-bit
+  // values: x86-64 zero-extends those for free, while a sign-extending load
+  // lengthens every step of the pointer chase.
+  auto x = static_cast<std::uint32_t>(v);
+  while (static_cast<std::uint32_t>(parent[x]) != x) {
+    parent[x] = parent[static_cast<std::uint32_t>(parent[x])];
+    x = static_cast<std::uint32_t>(parent[x]);
+  }
+  return static_cast<NodeId>(x);
+}
+
+/// Merges the classes of `a` and `b` in the forest over `parent`, hanging
+/// a's root under b's root (b's root is found first).
+inline void unite(std::span<NodeId> parent, NodeId a, NodeId b) {
+  const NodeId root = find_root(parent, b);
+  parent[static_cast<std::uint32_t>(find_root(parent, a))] = root;
+}
+
 /// Weakly connected components of the buffer-split transform (Section 4.1):
 /// every buffer node is split so that streaming cannot cross it. Because a
 /// buffer is backing memory, each of its incident edges is an *independent*
@@ -78,9 +104,28 @@ struct BufferSplitWccs {
 
 [[nodiscard]] BufferSplitWccs buffer_split_wccs(const TaskGraph& graph);
 
+/// The supernode graph H of Section 4.2.3: one supernode per buffer-split
+/// WCC, and for every buffer an edge from each WCC writing into it to each
+/// WCC reading from it. A repeat of the edge a successor list ends with is
+/// not stored (a buffer read by many nodes of one WCC yields one edge per
+/// writer), which changes neither H's cycles nor its path weights.
+struct SupernodeDag {
+  std::vector<std::vector<std::int32_t>> succ;  ///< per supernode: its successors
+  /// A writer-reader pair H cannot hold was skipped: a buffer writing into or
+  /// read by a buffer, or a writer and reader in one WCC (a supernode
+  /// feeding itself through memory).
+  bool degenerate = false;
+
+  /// The supernodes in a Kahn order (each after all its predecessors);
+  /// shorter than the supernode count exactly when H has a cycle.
+  [[nodiscard]] std::vector<std::int32_t> kahn_order() const;
+};
+
+[[nodiscard]] SupernodeDag buffer_supernode_dag(const TaskGraph& graph,
+                                                const BufferSplitWccs& wccs);
+
 /// Checks the buffer placement rule of Section 4.2.3: the supernode DAG H
-/// (one supernode per buffer-split WCC, edges from each WCC writing into a
-/// buffer to each WCC reading from it) must be acyclic; a cycle would demand
+/// must be acyclic and free of degenerate pairs; a cycle would demand
 /// unbounded "implicit" buffering.
 [[nodiscard]] bool buffer_supernode_dag_is_acyclic(const TaskGraph& graph);
 

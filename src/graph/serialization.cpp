@@ -404,20 +404,11 @@ std::size_t distinct_classes(std::span<const std::uint64_t> hashes,
 }
 
 // Weakly connected components over ALL edges (buffer edges included): a
-// union-find forest with path halving. Its roots are the partitions, so a
-// caller learns the partition count before building anything per node.
+// union-find forest (find_root). Its roots are the partitions, so a caller
+// learns the partition count before building anything per node.
 struct ComponentForest {
   std::vector<NodeId> parent;
   std::size_t roots = 0;
-
-  NodeId find(NodeId v) {
-    while (parent[static_cast<std::size_t>(v)] != v) {
-      parent[static_cast<std::size_t>(v)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
-      v = parent[static_cast<std::size_t>(v)];
-    }
-    return v;
-  }
 };
 
 ComponentForest component_forest(const TaskGraph& graph) {
@@ -425,11 +416,7 @@ ComponentForest component_forest(const TaskGraph& graph) {
   ComponentForest forest;
   forest.parent.resize(n);
   std::iota(forest.parent.begin(), forest.parent.end(), NodeId{0});
-  for (const Edge& edge : graph.edges()) {
-    const NodeId a = forest.find(edge.src);
-    const NodeId b = forest.find(edge.dst);
-    if (a != b) forest.parent[static_cast<std::size_t>(b)] = a;
-  }
+  for (const Edge& edge : graph.edges()) unite(forest.parent, edge.dst, edge.src);
   for (std::size_t v = 0; v < n; ++v) {
     if (forest.parent[v] == static_cast<NodeId>(v)) ++forest.roots;
   }
@@ -452,7 +439,7 @@ void build_partition_groups(ComponentForest forest, CanonicalPartitionIndex& ind
   // assigned in that order.
   std::int32_t count = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    const auto r = static_cast<std::size_t>(forest.find(static_cast<NodeId>(v)));
+    const auto r = static_cast<std::size_t>(find_root(forest.parent, static_cast<NodeId>(v)));
     if (index.component[r] < 0) index.component[r] = count++;
     index.component[v] = index.component[r];
   }
@@ -686,14 +673,16 @@ void refine_partition(const TaskGraph& graph, CanonicalPartitionIndex& index, st
   }
 }
 
-// Raw positional content of partition c while its order slice is still in
-// ascending-original-id order: the PartitionCanonMemo key. Same layout as
-// canonical_partition_form except destinations are recorded by position
-// within the id-ordered node list (`pos`) instead of canonical rank — ranks
-// are exactly what a memo probe does not yet know. Writes into `out` so the
-// per-partition loop reuses one buffer instead of allocating per probe.
-void partition_raw_form(const TaskGraph& graph, std::span<const NodeId> nodes,
-                        const std::vector<std::int32_t>& pos, std::string& out) {
+// The byte form of one partition into `out`: node and edge counts, each
+// node's kind and recorded output in `nodes` order, then each node's
+// out-degree and out-edges as (coord[dst], volume). The PartitionCanonMemo
+// key lists the nodes in ascending-id order with destinations by position
+// (partition_positions), since ranks are exactly what a memo probe does not
+// yet know; canonical_partition_form lists them in canonical order with
+// destinations by rank. Writing into `out` lets the per-partition loop reuse
+// one buffer instead of allocating per probe.
+void write_partition_form(const TaskGraph& graph, std::span<const NodeId> nodes,
+                          std::span<const std::int32_t> coord, std::string& out) {
   std::size_t local_edges = 0;
   for (const NodeId v : nodes) local_edges += graph.out_degree(v);
 
@@ -713,7 +702,7 @@ void partition_raw_form(const TaskGraph& graph, std::span<const NodeId> nodes,
     put64(static_cast<std::int64_t>(graph.out_degree(v)));
     for (const EdgeId e : graph.out_edges(v)) {
       const Edge& edge = graph.edge(e);
-      put64(pos[static_cast<std::size_t>(edge.dst)]);
+      put64(coord[static_cast<std::size_t>(edge.dst)]);
       put64(edge.volume);
     }
   }
@@ -779,7 +768,7 @@ std::optional<CanonicalPartitionIndex> composite_partition_index(
     const std::size_t size = index.offsets[static_cast<std::size_t>(c) + 1] -
                              index.offsets[static_cast<std::size_t>(c)];
     ids.assign(slice, slice + size);
-    partition_raw_form(graph, {slice, size}, pos, raw_buf);
+    write_partition_form(graph, {slice, size}, pos, raw_buf);
 
     if (auto hit = memo.find(raw_buf)) {
       for (std::size_t i = 0; i < size; ++i) {
@@ -891,31 +880,8 @@ std::size_t PartitionCanonMemo::total_weight() const {
 std::string canonical_partition_form(const TaskGraph& graph,
                                      const CanonicalPartitionIndex& index,
                                      std::int32_t c) {
-  const std::span<const NodeId> nodes = index.nodes(c);
-  std::size_t local_edges = 0;
-  for (const NodeId v : nodes) local_edges += graph.out_degree(v);
-
   std::string out;
-  out.resize(16 + nodes.size() * 17 + local_edges * 16);
-  char* p = out.data();
-  const auto put64 = [&p](std::int64_t value) {
-    std::memcpy(p, &value, 8);
-    p += 8;
-  };
-  put64(static_cast<std::int64_t>(nodes.size()));
-  put64(static_cast<std::int64_t>(local_edges));
-  for (const NodeId v : nodes) {
-    *p++ = static_cast<char>(graph.kind(v));
-    put64(recorded_output(graph, v));
-  }
-  for (const NodeId v : nodes) {
-    put64(static_cast<std::int64_t>(graph.out_degree(v)));
-    for (const EdgeId e : graph.out_edges(v)) {
-      const Edge& edge = graph.edge(e);
-      put64(index.rank[static_cast<std::size_t>(edge.dst)]);
-      put64(edge.volume);
-    }
-  }
+  write_partition_form(graph, index.nodes(c), index.rank, out);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "graph/algorithms.hpp"
 #include "support/prng.hpp"
 
 namespace sts {
@@ -31,24 +32,6 @@ void require_power_of_two(const char* fn, int points) {
   }
 }
 
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
 }  // namespace
 
 TaskGraph canonical_from_topology(
@@ -66,18 +49,18 @@ TaskGraph canonical_from_topology(
   for (const auto& [u, v] : edges) {
     preds[static_cast<std::size_t>(v)].push_back(u);
   }
-  UnionFind classes(n);
+  std::vector<NodeId> classes(n);
+  std::iota(classes.begin(), classes.end(), NodeId{0});
   for (const auto& list : preds) {
-    for (std::size_t i = 1; i < list.size(); ++i) {
-      classes.unite(static_cast<std::size_t>(list[0]), static_cast<std::size_t>(list[i]));
-    }
+    for (std::size_t i = 1; i < list.size(); ++i) unite(classes, list[0], list[i]);
   }
 
+  // A class's volume is drawn when its lowest-id member is reached.
   Prng rng(seed);
   std::vector<std::int64_t> class_volume(n, 0);
   std::vector<std::int64_t> volume(n);
   for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t root = classes.find(v);
+    const auto root = static_cast<std::size_t>(find_root(classes, static_cast<NodeId>(v)));
     if (class_volume[root] == 0) {
       class_volume[root] = std::int64_t{1}
                            << rng.uniform_int(dist.min_log2, dist.max_log2);

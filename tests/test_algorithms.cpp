@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <queue>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "fuzz_specs.hpp"
+#include "ml/models.hpp"
 #include "paper_examples.hpp"
 #include "support/prng.hpp"
 #include "workloads/synthetic.hpp"
@@ -155,6 +158,27 @@ TEST(BufferSupernodeDag, DetectsCycleThroughBuffer) {
   EXPECT_FALSE(buffer_supernode_dag_is_acyclic(g));
 }
 
+TEST(UnionFind, UniteMergesClassesUnderTheSecondRoot) {
+  std::vector<NodeId> parent(6);
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  unite(parent, 0, 1);
+  unite(parent, 2, 3);
+  EXPECT_EQ(find_root(parent, 0), 1);
+  EXPECT_EQ(find_root(parent, 2), 3);
+  unite(parent, 1, 3);  // {0, 1} goes under {2, 3}'s root
+  for (const NodeId v : {0, 1, 2, 3}) EXPECT_EQ(find_root(parent, v), 3) << "node " << v;
+  EXPECT_EQ(find_root(parent, 4), 4);
+  EXPECT_EQ(find_root(parent, 5), 5);
+  unite(parent, 0, 2);  // already one class: a no-op
+  EXPECT_EQ(find_root(parent, 0), 3);
+  // Finds halve paths: every node of the class now sits at most two hops
+  // from the root, and the root is unchanged.
+  for (const NodeId v : {0, 1, 2}) {
+    const NodeId up = parent[static_cast<std::size_t>(v)];
+    EXPECT_TRUE(up == 3 || parent[static_cast<std::size_t>(up)] == 3) << "node " << v;
+  }
+}
+
 TEST(UndirectedCycles, TreeHasNone) {
   const std::vector<std::pair<std::int32_t, std::int32_t>> edges{{0, 1}, {0, 2}, {1, 3}};
   const auto on_cycle = edges_on_undirected_cycles(4, edges);
@@ -278,6 +302,175 @@ TEST(UndirectedCycles, FlagsExactlyTheEdgesWhoseEndpointsStayConnectedWithoutThe
   EXPECT_GE(with_parallel, 500);
   EXPECT_GE(with_isolated, 500);
   EXPECT_GE(with_components, 500);
+}
+
+// ------------------------------------ differential vs the former kernels
+// buffer_split_wccs runs on the library's one union-find (find_root) and
+// buffer_supernode_dag_is_acyclic on its one supernode DAG builder and Kahn
+// walk (buffer_supernode_dag, SupernodeDag::kahn_order), which
+// streaming_depth shares. These are the implementations they replaced, kept
+// as references: a union-find class of their own, and an early-exit walk
+// over per-supernode adjacency vectors.
+
+class ReferenceUnionFind {
+ public:
+  explicit ReferenceUnionFind(std::size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), 0);
+  }
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+
+ private:
+  std::vector<std::size_t> parent_;
+};
+
+BufferSplitWccs reference_buffer_split_wccs(const TaskGraph& graph) {
+  const std::size_t n = graph.node_count();
+  ReferenceUnionFind uf(n);
+  for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
+    const Edge& edge = graph.edge(e);
+    if (graph.kind(edge.src) != NodeKind::kBuffer && graph.kind(edge.dst) != NodeKind::kBuffer) {
+      uf.unite(static_cast<std::size_t>(edge.src), static_cast<std::size_t>(edge.dst));
+    }
+  }
+  BufferSplitWccs result;
+  result.node_wcc.assign(n, -1);
+  std::vector<std::int32_t> compact(n, -1);
+  std::int32_t next = 0;
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    if (graph.kind(v) == NodeKind::kBuffer) continue;
+    const std::size_t root = uf.find(static_cast<std::size_t>(v));
+    if (compact[root] < 0) compact[root] = next++;
+    result.node_wcc[static_cast<std::size_t>(v)] = compact[root];
+  }
+  result.count = next;
+  return result;
+}
+
+bool reference_supernode_dag_is_acyclic(const TaskGraph& graph) {
+  const BufferSplitWccs wccs = reference_buffer_split_wccs(graph);
+  const auto n = static_cast<std::size_t>(wccs.count);
+  std::vector<std::vector<std::int32_t>> adj(n);
+  std::vector<std::size_t> deg(n, 0);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
+    if (graph.kind(v) != NodeKind::kBuffer) continue;
+    for (const EdgeId in : graph.in_edges(v)) {
+      const NodeId writer = graph.edge(in).src;
+      if (graph.kind(writer) == NodeKind::kBuffer) return false;  // buffer chain
+      const auto tail = wccs.node_wcc[static_cast<std::size_t>(writer)];
+      for (const EdgeId out : graph.out_edges(v)) {
+        const NodeId reader = graph.edge(out).dst;
+        if (graph.kind(reader) == NodeKind::kBuffer) return false;
+        const auto head = wccs.node_wcc[static_cast<std::size_t>(reader)];
+        if (tail == head) return false;  // cycle within one WCC
+        adj[static_cast<std::size_t>(tail)].push_back(head);
+        ++deg[static_cast<std::size_t>(head)];
+      }
+    }
+  }
+  std::vector<std::int32_t> stack;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (deg[i] == 0) stack.push_back(static_cast<std::int32_t>(i));
+  }
+  std::size_t seen = 0;
+  while (!stack.empty()) {
+    const auto u = stack.back();
+    stack.pop_back();
+    ++seen;
+    for (const auto w : adj[static_cast<std::size_t>(u)]) {
+      if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
+    }
+  }
+  return seen == n;
+}
+
+::testing::AssertionResult same_wccs(const TaskGraph& graph) {
+  const BufferSplitWccs got = buffer_split_wccs(graph);
+  const BufferSplitWccs want = reference_buffer_split_wccs(graph);
+  if (got.count != want.count) {
+    return ::testing::AssertionFailure() << got.count << " components vs " << want.count;
+  }
+  for (std::size_t v = 0; v < want.node_wcc.size(); ++v) {
+    if (got.node_wcc[v] != want.node_wcc[v]) {
+      return ::testing::AssertionFailure() << "node " << v << ": component " << got.node_wcc[v]
+                                           << " vs " << want.node_wcc[v];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SupernodeDagDifferential, VerdictsMatchTheFormerCheck) {
+  // Most reroute_through_buffers graphs close a cycle over buffer-split
+  // components (see fuzz_specs.hpp), so both verdicts are exercised; every
+  // cut_through_buffers graph is acyclic.
+  int graphs = 0;
+  int cyclic = 0;
+  int acyclic = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 500; ++seed, ++graphs) {
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const std::uint64_t salt = seed * 4 + static_cast<std::uint64_t>(shape);
+      const TaskGraph rerouted = testing::reroute_through_buffers(base, salt);
+      const bool verdict = buffer_supernode_dag_is_acyclic(rerouted);
+      ASSERT_EQ(verdict, reference_supernode_dag_is_acyclic(rerouted))
+          << "shape " << shape << ", seed " << seed;
+      (verdict ? acyclic : cyclic) += 1;
+      const TaskGraph cut = testing::cut_through_buffers(base, salt);
+      ASSERT_TRUE(buffer_supernode_dag_is_acyclic(cut)) << "cut, shape " << shape << ", seed " << seed;
+      ASSERT_TRUE(reference_supernode_dag_is_acyclic(cut));
+    }
+  }
+  EXPECT_EQ(graphs, 2000);
+  EXPECT_GE(cyclic, 1000);
+  EXPECT_GE(acyclic, 50);
+}
+
+TEST(BufferSplitWccsDifferential, BufferGraphsMatchTheFormerComponents) {
+  int graphs = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 500; ++seed, ++graphs) {
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const std::uint64_t salt = seed * 4 + static_cast<std::uint64_t>(shape);
+      ASSERT_TRUE(same_wccs(testing::cut_through_buffers(base, salt)))
+          << "cut, shape " << shape << ", seed " << seed;
+      ASSERT_TRUE(same_wccs(testing::reroute_through_buffers(base, salt)))
+          << "rerouted, shape " << shape << ", seed " << seed;
+    }
+  }
+  EXPECT_EQ(graphs, 2000);
+}
+
+TEST(BufferSplitWccsDifferential, PaperTopologiesMatchTheFormerComponents) {
+  int graphs = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const int scale = static_cast<int>(seed % 4);  // small to paper size
+    for (const TaskGraph& graph :
+         {make_chain(2 + 2 * scale, seed, testing::volumes_for(seed)),
+          make_fft(4 << scale, seed, testing::volumes_for(seed)),
+          make_gaussian_elimination(4 + 4 * scale, seed, testing::volumes_for(seed)),
+          make_cholesky(2 + 2 * scale, seed, testing::volumes_for(seed))}) {
+      ++graphs;
+      ASSERT_TRUE(same_wccs(graph)) << "seed " << seed << ", graph " << graphs;
+    }
+  }
+  for (const TaskGraph& graph :
+       {testing::figure6_graph(), testing::figure8_graph(), testing::figure9_graph1(),
+        testing::figure9_graph2(), testing::buffer_split_example(),
+        build_resnet50(ResNetConfig{}), build_transformer_encoder(TransformerConfig{})}) {
+    ++graphs;
+    ASSERT_TRUE(same_wccs(graph)) << "graph " << graphs;
+    ASSERT_EQ(buffer_supernode_dag_is_acyclic(graph), reference_supernode_dag_is_acyclic(graph))
+        << "graph " << graphs;
+  }
+  EXPECT_EQ(graphs, 407);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // std::sort of its signatures, and a sort-and-unique class count. Fragment
 // assembly needs every hash and rank unchanged, so the two must agree field
 // for field on every graph, through the plain overload and through the memo
-// overload with a cold and a warm memo.
+// overload with a cold and a warm memo. The former canonical_partition_form
+// is kept here too: the library writes it and the memo key through one
+// writer, and every partition's form must stay byte for byte the same.
 
 #include <gtest/gtest.h>
 
@@ -175,18 +177,74 @@ CanonicalPartitionIndex reference_index(const TaskGraph& graph) {
   return ::testing::AssertionFailure() << path << ": " << field << " differs";
 }
 
+/// The former canonical_partition_form: node and edge counts, each node's
+/// kind and recorded output in canonical order, then each node's out-degree
+/// and out-edges as (destination rank, volume). The library now writes it,
+/// and the memo key, through one writer parameterized by the node list and
+/// the destination coordinates.
+std::string reference_form(const TaskGraph& graph, const CanonicalPartitionIndex& index,
+                           std::int32_t c) {
+  const std::span<const NodeId> nodes = index.nodes(c);
+  std::string out;
+  const auto put64 = [&out](std::int64_t value) {
+    out.append(reinterpret_cast<const char*>(&value), 8);
+  };
+  std::int64_t local_edges = 0;
+  for (const NodeId v : nodes) local_edges += static_cast<std::int64_t>(graph.out_degree(v));
+  put64(static_cast<std::int64_t>(nodes.size()));
+  put64(local_edges);
+  for (const NodeId v : nodes) {
+    out.push_back(static_cast<char>(graph.kind(v)));
+    const std::int64_t declared = graph.declared_output(v);
+    put64(graph.kind(v) != NodeKind::kSink && declared > 0 ? declared : graph.output_volume(v));
+  }
+  for (const NodeId v : nodes) {
+    put64(static_cast<std::int64_t>(graph.out_degree(v)));
+    for (const EdgeId e : graph.out_edges(v)) {
+      const Edge& edge = graph.edge(e);
+      put64(index.rank[static_cast<std::size_t>(edge.dst)]);
+      put64(edge.volume);
+    }
+  }
+  return out;
+}
+
+/// Every partition's canonical_partition_form, and the form of every memo
+/// entry a memo overload returned, against the reference form.
+::testing::AssertionResult same_forms(
+    const TaskGraph& graph, const CanonicalPartitionIndex& got,
+    const CanonicalPartitionIndex& want,
+    const std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>& entries,
+    const char* path) {
+  for (std::int32_t c = 0; c < want.count; ++c) {
+    const std::string form = reference_form(graph, want, c);
+    if (canonical_partition_form(graph, got, c) != form) {
+      return ::testing::AssertionFailure() << path << ": form of partition " << c << " differs";
+    }
+    if (!entries.empty() && entries[static_cast<std::size_t>(c)]->form != form) {
+      return ::testing::AssertionFailure()
+             << path << ": memo entry form of partition " << c << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Every overload against the reference: the plain one, and the memo one
-/// with a cold memo and then, on the same memo, a warm one.
+/// with a cold memo and then, on the same memo, a warm one. Each also
+/// writes the reference's partition forms.
 ::testing::AssertionResult matches_reference(const TaskGraph& graph) {
   const CanonicalPartitionIndex want = reference_index(graph);
-  if (auto r = same_index(canonical_partition_index(graph), want, "plain"); !r) return r;
-  PartitionCanonMemo memo;
   std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>> entries;
-  if (auto r = same_index(canonical_partition_index(graph, &memo, &entries), want, "cold memo");
-      !r) {
-    return r;
+  const CanonicalPartitionIndex plain = canonical_partition_index(graph);
+  if (auto r = same_index(plain, want, "plain"); !r) return r;
+  if (auto r = same_forms(graph, plain, want, entries, "plain"); !r) return r;
+  PartitionCanonMemo memo;
+  for (const char* path : {"cold memo", "warm memo"}) {
+    const CanonicalPartitionIndex got = canonical_partition_index(graph, &memo, &entries);
+    if (auto r = same_index(got, want, path); !r) return r;
+    if (auto r = same_forms(graph, got, want, entries, path); !r) return r;
   }
-  return same_index(canonical_partition_index(graph, &memo, &entries), want, "warm memo");
+  return ::testing::AssertionSuccess();
 }
 
 /// A fuzz-shaped graph in which about one edge in three carries a volume

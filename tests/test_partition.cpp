@@ -191,6 +191,35 @@ TEST(PartitionIsValid, DetectsCorruptAssignments) {
   }
 }
 
+TEST(PartitionIsValid, BlockListsMustMatchBlockOfExactly) {
+  // Per-block member counts agree with block_of in both partitions below, so
+  // only a check of the listed nodes themselves rejects them.
+  TaskGraph g;
+  const NodeId s = g.add_source(4, "s");
+  const NodeId c = g.add_compute("c");
+  g.add_edge(s, c, 4);
+  g.declare_output(c, 4);
+  SpatialPartition good;
+  good.blocks = {{s}, {c}};
+  good.block_of = {0, 1};
+  ASSERT_TRUE(partition_is_valid(g, good, 2));
+
+  SpatialPartition twice;  // s listed twice, c nowhere
+  twice.blocks = {{s, s}};
+  twice.block_of = {0, 0};
+  EXPECT_FALSE(partition_is_valid(g, twice, 2));
+
+  SpatialPartition swapped;  // each node listed in the other's block
+  swapped.blocks = {{c}, {s}};
+  swapped.block_of = {0, 1};
+  EXPECT_FALSE(partition_is_valid(g, swapped, 2));
+
+  SpatialPartition stranger;  // a node id outside the graph
+  stranger.blocks = {{s}, {c, 7}};
+  stranger.block_of = {0, 1};
+  EXPECT_FALSE(partition_is_valid(g, stranger, 2));
+}
+
 // ------------------------------------------ differential vs a full scan
 
 /// The three partitioners a differential case compares.

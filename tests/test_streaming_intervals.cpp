@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "core/partition.hpp"
+#include "core/streaming_schedule.hpp"
+#include "fuzz_specs.hpp"
 #include "paper_examples.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -185,6 +192,112 @@ TEST(StreamingIntervals, DisconnectedComponentsIndependent) {
   EXPECT_EQ(ctx.s_out[a], Rational(1));  // the big component does not throttle it
   EXPECT_EQ(ctx.s_out[b], Rational(1));
   EXPECT_NE(ctx.node_wcc[a], ctx.node_wcc[b]);
+}
+
+// --------------------------------------- differential vs schedule_streaming
+
+/// How many intervals matches_stream_context compared.
+struct Comparisons {
+  std::size_t members = 0;
+  std::size_t buffers = 0;
+};
+
+/// Schedules `graph` at P = 1, 4, 16 and 64 with SB-LTS, SB-RLX and
+/// by-work, and requires every block's timings to carry the intervals of
+/// compute_stream_context for that block: each member's s_in and s_out, and
+/// each buffer's s_out at the first block the buffer serves (the block in
+/// which schedule_streaming times it). The schedule runs the stream-context
+/// kernel over each block's active set in topological order, on scratch
+/// that every block reuses; the wrapper runs it on fresh scratch over every
+/// member and buffer in id order. So this pins that the kernel's result
+/// depends on neither the order nor what earlier blocks left in the scratch.
+::testing::AssertionResult matches_stream_context(const TaskGraph& graph, Comparisons& count) {
+  const std::size_t n = graph.node_count();
+  for (const std::int64_t pes : {1, 4, 16, 64}) {
+    for (int which = 0; which < 3; ++which) {
+      SpatialPartition partition =
+          which == 2 ? partition_by_work(graph, pes)
+                     : partition_spatial_blocks(
+                           graph, pes, which == 0 ? PartitionVariant::kLTS : PartitionVariant::kRLX);
+      const StreamingSchedule sched = schedule_streaming(graph, std::move(partition));
+      const SpatialPartition& p = sched.partition;
+      std::vector<std::vector<NodeId>> first_served(p.blocks.size());
+      for (NodeId b = 0; static_cast<std::size_t>(b) < n; ++b) {
+        if (graph.kind(b) != NodeKind::kBuffer) continue;
+        std::int32_t first = -1;
+        for (const EdgeId e : graph.out_edges(b)) {
+          const auto blk = p.block_of[static_cast<std::size_t>(graph.edge(e).dst)];
+          if (blk >= 0 && (first < 0 || blk < first)) first = blk;
+        }
+        if (first >= 0) first_served[static_cast<std::size_t>(first)].push_back(b);
+      }
+      for (std::size_t k = 0; k < p.blocks.size(); ++k) {
+        const StreamContext ctx =
+            compute_stream_context(graph, p.block_of, static_cast<std::int32_t>(k));
+        const auto where = [&](NodeId v) {
+          return ::testing::AssertionFailure()
+                 << (which == 0 ? "SB-LTS" : which == 1 ? "SB-RLX" : "by-work") << " at P = "
+                 << pes << ", block " << k << ", node " << v << ": ";
+        };
+        for (const NodeId v : p.blocks[k]) {
+          const auto idx = static_cast<std::size_t>(v);
+          if (sched.at(v).s_in != ctx.s_in[idx] || sched.at(v).s_out != ctx.s_out[idx]) {
+            return where(v) << "schedule (" << sched.at(v).s_in << ", " << sched.at(v).s_out
+                            << ") vs context (" << ctx.s_in[idx] << ", " << ctx.s_out[idx]
+                            << ")";
+          }
+          ++count.members;
+        }
+        for (const NodeId b : first_served[k]) {
+          if (sched.at(b).s_out != ctx.s_out[static_cast<std::size_t>(b)]) {
+            return where(b) << "buffer s_out " << sched.at(b).s_out << " vs context "
+                            << ctx.s_out[static_cast<std::size_t>(b)];
+          }
+          ++count.buffers;
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(StreamContextDifferential, ScheduleIntervalsMatchComputeStreamContext) {
+  Comparisons count;
+  int graphs = 0;
+  int rerouted_valid = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const std::uint64_t salt = seed * 4 + static_cast<std::uint64_t>(shape);
+      const TaskGraph cut = testing::cut_through_buffers(base, salt);
+      const TaskGraph rerouted = testing::reroute_through_buffers(base, salt);
+      ASSERT_TRUE(matches_stream_context(base, count)) << "shape " << shape << ", seed " << seed;
+      ASSERT_TRUE(cut.validate().empty());
+      ASSERT_TRUE(matches_stream_context(cut, count)) << "cut, shape " << shape << ", seed " << seed;
+      graphs += 2;
+      if (rerouted.validate().empty()) {
+        ASSERT_TRUE(matches_stream_context(rerouted, count))
+            << "rerouted, shape " << shape << ", seed " << seed;
+        ++graphs;
+        ++rerouted_valid;
+      }
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const int scale = static_cast<int>(seed % 4);  // small to paper size
+    for (const TaskGraph& graph :
+         {make_fft(4 << scale, seed, testing::volumes_for(seed)),
+          make_gaussian_elimination(4 + 4 * scale, seed, testing::volumes_for(seed)),
+          make_cholesky(2 + 2 * scale, seed, testing::volumes_for(seed))}) {
+      ++graphs;
+      ASSERT_TRUE(matches_stream_context(graph, count)) << "seed " << seed << ", graph " << graphs;
+    }
+  }
+  EXPECT_EQ(graphs, 480 + rerouted_valid + 180);
+  EXPECT_GE(rerouted_valid, 10);
+  EXPECT_GE(count.members, 100000U);
+  EXPECT_GE(count.buffers, 10000U);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "fuzz_specs.hpp"
+#include "graph/algorithms.hpp"
+#include "ml/models.hpp"
 #include "paper_examples.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -87,6 +94,135 @@ TEST(WorkDepth, ParallelComponentsTakeDeepest) {
   g.declare_output(b1, 64);
   const WorkDepth wd = analyze_work_depth(g);
   EXPECT_EQ(wd.streaming_depth, Rational(64 + 2));
+}
+
+// ------------------------------------ differential vs the former bound
+// streaming_depth walks the supernode DAG through the library's one builder
+// and Kahn walk (buffer_supernode_dag, SupernodeDag::kahn_order), shared
+// with the buffer placement check. This is the function it replaced, with
+// its own per-supernode adjacency vectors and stack walk, kept as the
+// reference.
+
+Rational reference_streaming_depth(const TaskGraph& graph) {
+  const std::size_t n = graph.node_count();
+  const BufferSplitWccs wccs = buffer_split_wccs(graph);
+  const auto wcc_count = static_cast<std::size_t>(wccs.count);
+  std::vector<Rational> split_level(n, Rational(0));
+  std::vector<Rational> wcc_level(wcc_count, Rational(0));
+  std::vector<std::int64_t> wcc_max_vol(wcc_count, 0);
+  for (const NodeId v : topological_order(graph)) {
+    const auto idx = static_cast<std::size_t>(v);
+    if (graph.kind(v) == NodeKind::kBuffer) {
+      for (const EdgeId e : graph.out_edges(v)) {
+        const auto wcc = wccs.node_wcc[static_cast<std::size_t>(graph.edge(e).dst)];
+        if (wcc >= 0) {
+          wcc_max_vol[static_cast<std::size_t>(wcc)] = std::max(
+              wcc_max_vol[static_cast<std::size_t>(wcc)], graph.output_volume(v));
+        }
+      }
+      continue;
+    }
+    Rational best(0);
+    for (const EdgeId e : graph.in_edges(v)) {
+      const NodeId u = graph.edge(e).src;
+      best = std::max(best, graph.kind(u) == NodeKind::kBuffer
+                                ? Rational(1)
+                                : split_level[static_cast<std::size_t>(u)]);
+    }
+    if (graph.in_degree(v) == 0) {
+      split_level[idx] = Rational(1);
+    } else {
+      split_level[idx] = best + (graph.kind(v) == NodeKind::kCompute
+                                     ? std::max(graph.rate(v), Rational(1))
+                                     : Rational(1));
+    }
+    const auto wcc = wccs.node_wcc[idx];
+    if (wcc >= 0) {
+      wcc_level[static_cast<std::size_t>(wcc)] =
+          std::max(wcc_level[static_cast<std::size_t>(wcc)], split_level[idx]);
+      wcc_max_vol[static_cast<std::size_t>(wcc)] =
+          std::max(wcc_max_vol[static_cast<std::size_t>(wcc)], graph.output_volume(v));
+    }
+  }
+  std::vector<Rational> wcc_weight(wcc_count, Rational(0));
+  for (std::size_t c = 0; c < wcc_count; ++c) {
+    wcc_weight[c] = wcc_level[c] + Rational(wcc_max_vol[c]);
+  }
+  std::vector<std::vector<std::int32_t>> adj(wcc_count);
+  std::vector<std::size_t> deg(wcc_count, 0);
+  for (NodeId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+    if (graph.kind(v) != NodeKind::kBuffer) continue;
+    for (const EdgeId in : graph.in_edges(v)) {
+      const auto tail = wccs.node_wcc[static_cast<std::size_t>(graph.edge(in).src)];
+      if (tail < 0) continue;
+      for (const EdgeId out : graph.out_edges(v)) {
+        const auto head = wccs.node_wcc[static_cast<std::size_t>(graph.edge(out).dst)];
+        if (head < 0 || head == tail) continue;
+        adj[static_cast<std::size_t>(tail)].push_back(head);
+        ++deg[static_cast<std::size_t>(head)];
+      }
+    }
+  }
+  std::vector<Rational> path(wcc_weight);
+  std::vector<std::int32_t> stack;
+  for (std::size_t c = 0; c < wcc_count; ++c) {
+    if (deg[c] == 0) stack.push_back(static_cast<std::int32_t>(c));
+  }
+  Rational deepest(0);
+  while (!stack.empty()) {
+    const auto u = stack.back();
+    stack.pop_back();
+    deepest = std::max(deepest, path[static_cast<std::size_t>(u)]);
+    for (const auto w : adj[static_cast<std::size_t>(u)]) {
+      path[static_cast<std::size_t>(w)] =
+          std::max(path[static_cast<std::size_t>(w)],
+                   path[static_cast<std::size_t>(u)] + wcc_weight[static_cast<std::size_t>(w)]);
+      if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
+    }
+  }
+  return deepest;
+}
+
+TEST(StreamingDepthDifferential, CutGraphsMatchTheFormerBound) {
+  int graphs = 0;
+  int multi_supernode = 0;
+  for (int shape = 0; shape < 4; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 500; ++seed, ++graphs) {
+      const TaskGraph base =
+          make_random_layered(testing::fuzz_spec_for(shape), seed, testing::volumes_for(seed));
+      const TaskGraph cut =
+          testing::cut_through_buffers(base, seed * 4 + static_cast<std::uint64_t>(shape));
+      multi_supernode += buffer_split_wccs(cut).count > 1 ? 1 : 0;
+      ASSERT_EQ(streaming_depth(cut), reference_streaming_depth(cut))
+          << "shape " << shape << ", seed " << seed;
+    }
+  }
+  EXPECT_EQ(graphs, 2000);
+  EXPECT_EQ(multi_supernode, graphs);
+}
+
+TEST(StreamingDepthDifferential, PaperTopologiesMatchTheFormerBound) {
+  int graphs = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    const int scale = static_cast<int>(seed % 4);  // small to paper size
+    for (const TaskGraph& graph :
+         {make_chain(2 + 2 * scale, seed, testing::volumes_for(seed)),
+          make_fft(4 << scale, seed, testing::volumes_for(seed)),
+          make_gaussian_elimination(4 + 4 * scale, seed, testing::volumes_for(seed)),
+          make_cholesky(2 + 2 * scale, seed, testing::volumes_for(seed))}) {
+      ++graphs;
+      ASSERT_EQ(streaming_depth(graph), reference_streaming_depth(graph))
+          << "seed " << seed << ", graph " << graphs;
+    }
+  }
+  for (const TaskGraph& graph :
+       {testing::figure6_graph(), testing::figure8_graph(), testing::figure9_graph1(),
+        testing::figure9_graph2(), testing::buffer_split_example(),
+        build_resnet50(ResNetConfig{}), build_transformer_encoder(TransformerConfig{})}) {
+    ++graphs;
+    ASSERT_EQ(streaming_depth(graph), reference_streaming_depth(graph)) << "graph " << graphs;
+  }
+  EXPECT_EQ(graphs, 407);
 }
 
 }  // namespace

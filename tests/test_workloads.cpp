@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "graph/serialization.hpp"
+#include "support/hash.hpp"
+#include "support/prng.hpp"
 
 namespace sts {
 namespace {
@@ -164,6 +173,79 @@ TEST(Workloads, InputGuards) {
   EXPECT_THROW(make_fft(12, 1), std::invalid_argument);
   EXPECT_THROW(make_gaussian_elimination(1, 1), std::invalid_argument);
   EXPECT_THROW(make_cholesky(1, 1), std::invalid_argument);
+}
+
+// ------------------------------------------------ pinned generator output
+// perfbench builds its paper sets and huge_delta bases from these
+// generators, so its schedules, and speedup_geomean with them, depend on the
+// exact graphs they return. The table pins fnv1a64(canonical_fingerprint)
+// of each for three seeds. A change to any returned graph (an id, a kind, a
+// volume, an edge) fails here before it shifts a benchmark.
+
+/// The graph a row of the pinned-generator table names.
+TaskGraph pinned_graph(std::string_view generator, std::uint64_t seed) {
+  if (generator == "chain-8") return make_chain(8, seed);
+  if (generator == "fft-32") return make_fft(32, seed);
+  if (generator == "gaussian-16") return make_gaussian_elimination(16, seed);
+  if (generator == "cholesky-8") return make_cholesky(8, seed);
+  if (generator == "layered") return make_random_layered(LayeredSpec{}, seed);
+  if (generator == "layered-wide") {
+    LayeredSpec spec;
+    spec.layers = 4;
+    spec.width = 12;
+    spec.edge_probability = 0.15;
+    return make_random_layered(spec, seed, VolumeDistribution{4, 5});
+  }
+  // canonical_from_topology over a 25 x 40 layered component in which every
+  // node draws three predecessors from the layer above: the shape of the
+  // components perfbench's huge_delta bases are built from.
+  Prng rng(seed ^ 0x5851f42d4c957f2dULL);
+  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+  for (std::int32_t layer = 1; layer < 25; ++layer) {
+    for (std::int32_t v = layer * 40; v < (layer + 1) * 40; ++v) {
+      for (int k = 0; k < 3; ++k) {
+        edges.emplace_back((layer - 1) * 40 + static_cast<std::int32_t>(rng.uniform_int(0, 39)), v);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return canonical_from_topology(1000, edges, seed);
+}
+
+TEST(Workloads, GeneratorOutputIsPinned) {
+  struct Pin {
+    std::string_view generator;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"chain-8", 1, 0x92130b740204d7b9ULL},
+      {"chain-8", 7, 0x1926195aaee76c2dULL},
+      {"chain-8", 42, 0xe7a1b61147b51638ULL},
+      {"fft-32", 1, 0xbc03992c46257ea4ULL},
+      {"fft-32", 7, 0x0cce64c588a2bfe5ULL},
+      {"fft-32", 42, 0xbfab80494310d977ULL},
+      {"gaussian-16", 1, 0x72a2dea680ebfc76ULL},
+      {"gaussian-16", 7, 0xdb65f2f660ba67a2ULL},
+      {"gaussian-16", 42, 0x2c3b068afbf56ca5ULL},
+      {"cholesky-8", 1, 0xac5fc9addf1cb941ULL},
+      {"cholesky-8", 7, 0xc9b70b54d4a6dd5cULL},
+      {"cholesky-8", 42, 0x28102a3aa9c17ce5ULL},
+      {"layered", 1, 0x9405d789058530f9ULL},
+      {"layered", 7, 0x8cb66cba1c3f60f7ULL},
+      {"layered", 42, 0x9f41566ba006deb4ULL},
+      {"layered-wide", 1, 0x8ea76da912842388ULL},
+      {"layered-wide", 7, 0x4804c9f2ec028d49ULL},
+      {"layered-wide", 42, 0x0af7f34e52f81f00ULL},
+      {"fan-in", 1, 0x8f4e7d19ee3958e6ULL},
+      {"fan-in", 7, 0x77284f1632cdc884ULL},
+      {"fan-in", 42, 0xfd3e59e0e815df30ULL},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(fnv1a64(canonical_fingerprint(pinned_graph(pin.generator, pin.seed))), pin.digest)
+        << pin.generator << ", seed " << pin.seed;
+  }
 }
 
 }  // namespace

@@ -62,6 +62,13 @@ violation. Enforced rules:
     analysis keeps a standalone overload for callers off the pipeline path,
     which computes it; those overloads (STANDALONE_ENTRY_POINTS, told apart
     by parameter count) are not followed.
+
+ 9. One union-find: the path-halving step, an array indexed through its own
+    element (`parent[parent[v]]`, PATH_HALVING), appears in src/ only in
+    the body of the shared union-find's find (UNION_FIND_SITES, find_root
+    in src/graph/algorithms.hpp). Components, stream contexts, partition
+    forests and volume classes all run on it; a private copy is a second
+    kernel to keep in step.
 """
 
 from __future__ import annotations
@@ -442,6 +449,35 @@ def check_passes_share_one_topology(errors: list[str]) -> None:
                     pending.append((name, core_rel, s, e))
 
 
+PATH_HALVING = re.compile(r"\b(\w+)\s*\[[^\[\]\n]*\b\1\s*\[")
+# (file, function) pairs where the path-halving step may appear.
+UNION_FIND_SITES = {("src/graph/algorithms.hpp", "find_root")}
+
+
+def check_one_union_find(errors: list[str]) -> None:
+    site_names = tuple(sorted({name for _, name in UNION_FIND_SITES}))
+    found = set()
+    for path in sorted(SRC.rglob("*.[ch]pp")):
+        rel = path.relative_to(REPO).as_posix()
+        text = strip_comments(path.read_text())
+        allowed = []
+        for name, start, end in function_spans(text, site_names):
+            if (rel, name) in UNION_FIND_SITES:
+                allowed.append((start, end))
+                found.add((rel, name))
+        for match in PATH_HALVING.finditer(text):
+            if any(start <= match.start() < end for start, end in allowed):
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            fail(
+                errors,
+                f"{rel}:{line}: `{match.group(0)}` is a path-halving step outside the shared "
+                "union-find — use find_root()/unite() from graph/algorithms.hpp",
+            )
+    for rel, name in sorted(UNION_FIND_SITES - found):
+        fail(errors, f"{rel}: {name}() not found — update tools/lint_sts.py")
+
+
 def main() -> int:
     errors: list[str] = []
     check_stats_documented(errors)
@@ -452,6 +488,7 @@ def main() -> int:
     check_writers_read_flat_arrays(errors)
     check_refinement_rounds_read_flat_scratch(errors)
     check_passes_share_one_topology(errors)
+    check_one_union_find(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
