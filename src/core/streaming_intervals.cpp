@@ -12,6 +12,8 @@ StreamScratch StreamScratch::allocate(Arena& arena, std::size_t nodes) {
 void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> block_of,
                           std::int32_t block_id, std::span<const NodeId> active,
                           const StreamScratch& scratch) {
+  // One profile table read for every volume below.
+  const std::span<const NodeProfile> profile = graph.profiles();
   const auto is_member = [&](NodeId u) {
     return graph.kind(u) != NodeKind::kBuffer &&
            block_of[static_cast<std::size_t>(u)] == block_id;
@@ -28,22 +30,23 @@ void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> 
   }
   for (const NodeId v : active) {
     if (!is_member(v)) continue;
-    std::int64_t volume = graph.output_volume(v);
+    const NodeProfile& pv = profile[static_cast<std::size_t>(v)];
+    std::int64_t volume = pv.out_volume;
     // Block-source / buffer-fed ingestion: streams arriving from memory join
     // the component's steady state with their per-edge volume.
     bool direct_stream_pred = false;
     for (const EdgeId e : graph.in_edges(v)) {
       const NodeId u = graph.edge(e).src;
       if (graph.kind(u) == NodeKind::kBuffer) {
-        volume = std::max(volume, graph.output_volume(u));  // head replay
+        // The buffer head replays its per-edge volume.
+        volume = std::max(volume, profile[static_cast<std::size_t>(u)].out_volume);
       } else if (block_of[static_cast<std::size_t>(u)] == block_id) {
         direct_stream_pred = true;
         unite(scratch.parent, u, v);
       }
     }
-    if (!direct_stream_pred && graph.in_degree(v) > 0 && graph.input_volume(v) > 0) {
-      volume = std::max(volume, graph.input_volume(v));
-    }
+    // I(v) > 0 exactly when v has an in-edge (volumes are positive).
+    if (!direct_stream_pred && pv.in_volume > 0) volume = std::max(volume, pv.in_volume);
     scratch.root_max[static_cast<std::size_t>(v)] = volume;
   }
   for (const NodeId v : active) {
@@ -54,15 +57,13 @@ void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> 
 
   for (const NodeId v : active) {
     const auto idx = static_cast<std::size_t>(v);
+    const NodeProfile& pv = profile[idx];
     if (is_member(v)) {
       const std::int64_t maxvol = scratch.root_max[static_cast<std::size_t>(
           find_root(scratch.parent, v))];
-      scratch.s_in[idx] = graph.input_volume(v) > 0 ? Rational(maxvol, graph.input_volume(v))
-                                                    : Rational(0);
-      scratch.s_out[idx] = graph.output_volume(v) > 0
-                               ? Rational(maxvol, graph.output_volume(v))
-                               : Rational(0);
-    } else if (graph.output_volume(v) > 0) {
+      scratch.s_in[idx] = pv.in_volume > 0 ? Rational(maxvol, pv.in_volume) : Rational(0);
+      scratch.s_out[idx] = pv.out_volume > 0 ? Rational(maxvol, pv.out_volume) : Rational(0);
+    } else if (pv.out_volume > 0) {
       // Buffer: the slowest per-edge emission interval towards this block's
       // members (buffer replays are per-edge streams; the per-edge interval
       // equals the consumer's S_i).
@@ -73,7 +74,7 @@ void block_stream_context(const TaskGraph& graph, std::span<const std::int32_t> 
         slowest = std::max(
             slowest, Rational(scratch.root_max[static_cast<std::size_t>(
                                   find_root(scratch.parent, w))],
-                              graph.output_volume(v)));
+                              pv.out_volume));
       }
       scratch.s_out[idx] = slowest;
     } else {

@@ -16,7 +16,29 @@ WorkDepth analyze_work_depth(const TaskGraph& graph) {
 }
 
 Rational streaming_depth(const TaskGraph& graph) {
-  return streaming_depth(graph, topological_order(graph));
+  const std::vector<NodeId> order = topological_waves(graph).order;
+  return streaming_depth(graph, order, node_levels(graph, order));
+}
+
+Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order,
+                         std::span<const Rational> levels) {
+  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
+    if (graph.kind(v) == NodeKind::kBuffer) return streaming_depth(graph, order);
+  }
+  const WeakComponents& components = graph.weak_components();
+  const std::span<const NodeProfile> profile = graph.profiles();
+  Rational deepest(0);
+  for (std::int32_t c = 0; c < components.count; ++c) {
+    Rational level(0);
+    std::int64_t volume = 0;
+    for (const NodeId v : components.nodes(c)) {
+      const auto idx = static_cast<std::size_t>(v);
+      level = std::max(level, levels[idx]);
+      volume = std::max(volume, profile[idx].out_volume);
+    }
+    deepest = std::max(deepest, level + Rational(volume));
+  }
+  return deepest;
 }
 
 Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order) {

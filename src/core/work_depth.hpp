@@ -27,11 +27,22 @@ struct WorkDepth {
 [[nodiscard]] WorkDepth analyze_work_depth(const TaskGraph& graph);
 
 /// T_s_inf only, without analyze_work_depth's graph_level walk. Computes a
-/// topological order of `graph` itself.
+/// topological order of `graph` and the node levels along it itself.
 [[nodiscard]] Rational streaming_depth(const TaskGraph& graph);
 
-/// As above over a given topological `order` of `graph`; the bound is the
-/// same for every topological order.
+/// As above over a given topological `order` of `graph` and the node levels
+/// along it (node_levels(graph, order)); the bound is the same for every
+/// topological order. On a graph without buffer nodes the buffer-split
+/// levels are the node levels and the supernode DAG has no edges, so the
+/// bound is the largest (max level + max O) over the graph's weak
+/// components, read off `levels`; a graph with buffers takes the overload
+/// below.
+[[nodiscard]] Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order,
+                                       std::span<const Rational> levels);
+
+/// The buffer-split analysis over a given topological `order`: per-WCC
+/// split levels, then the heaviest path of the supernode DAG. Valid for
+/// every graph.
 [[nodiscard]] Rational streaming_depth(const TaskGraph& graph, std::span<const NodeId> order);
 
 }  // namespace sts

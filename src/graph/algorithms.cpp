@@ -19,24 +19,7 @@ std::vector<std::size_t> in_degrees(const TaskGraph& graph) {
 
 }  // namespace
 
-bool is_acyclic(const TaskGraph& graph) {
-  auto deg = in_degrees(graph);
-  std::vector<NodeId> stack;
-  for (NodeId v = 0; static_cast<std::size_t>(v) < graph.node_count(); ++v) {
-    if (deg[static_cast<std::size_t>(v)] == 0) stack.push_back(v);
-  }
-  std::size_t seen = 0;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    ++seen;
-    for (const EdgeId e : graph.out_edges(u)) {
-      const NodeId w = graph.edge(e).dst;
-      if (--deg[static_cast<std::size_t>(w)] == 0) stack.push_back(w);
-    }
-  }
-  return seen == graph.node_count();
-}
+bool is_acyclic(const TaskGraph& graph) { return graph.acyclic(); }
 
 std::vector<NodeId> topological_order(const TaskGraph& graph) {
   auto deg = in_degrees(graph);

@@ -10,7 +10,8 @@
 
 namespace sts {
 
-/// True iff the directed graph has no cycle.
+/// True iff the directed graph has no cycle: TaskGraph::acyclic(), the
+/// verdict its edge table's one Kahn pass computed.
 [[nodiscard]] bool is_acyclic(const TaskGraph& graph);
 
 /// Kahn topological order; throws std::invalid_argument if the graph is
@@ -61,8 +62,8 @@ struct TopoWaves {
 /// walk passes is re-hung under its grandparent, which keeps the trees flat
 /// enough for near-linear total time without union by rank. This is the one
 /// union-find of the library: the buffer-split components, the stream
-/// contexts, the canonicalization's partition forest and the generators'
-/// volume classes all run on it.
+/// contexts, the edge table's weak components (TaskGraph::weak_components)
+/// and the generators' volume classes all run on it.
 inline NodeId find_root(std::span<NodeId> parent, NodeId v) {
   // Node ids are non-negative, so the walk indexes with unsigned 32-bit
   // values: x86-64 zero-extends those for free, while a sign-extending load

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string_view>
 
@@ -152,7 +153,14 @@ GraphEdit graph_edit_from_json(const JsonValue& json) {
 
 TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> edits) {
   using NodeRec = TaskGraph::NodeRec;
-  const std::size_t base_edges = base.edges_.size();
+  const std::span<const Edge> base_edge_span = base.edges();
+  const std::size_t base_edges = base_edge_span.size();
+  // A list of set_output retunes changes neither the edges nor the node
+  // count, so the result shares the base's edge table: its CSR, verdict and
+  // components are the base's. Any other list gets a table of its own.
+  const bool retune_only = std::all_of(edits.begin(), edits.end(), [](const GraphEdit& edit) {
+    return edit.op == GraphEdit::Op::kSetOutput;
+  });
 
   // Flat copies of the base records, patched in place below. Sinks never
   // carry a declared output in a materialized graph.
@@ -162,10 +170,14 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
     out.nodes_.push_back(rec);
     if (rec.kind == NodeKind::kSink) out.nodes_.back().declared_output = 0;
   }
-  out.edges_.reserve(base_edges + edits.size());
-  out.edges_.assign(base.edges_.begin(), base.edges_.end());
+  out.names_ = base.names_;
+  std::vector<Edge> edges;
+  if (!retune_only) {
+    edges.reserve(base_edges + edits.size());
+    edges.assign(base_edge_span.begin(), base_edge_span.end());
+  }
   std::vector<NodeRec>& nodes = out.nodes_;
-  std::vector<Edge>& edges = out.edges_;
+  std::vector<std::string>& names = out.names_;
 
   // Removal flags, allocated by the first removal; an index past the end is
   // alive. Without a removal the copies need no renumbering at all.
@@ -209,7 +221,11 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
           fail("add_node source requires a positive output");
         }
         patched_nodes.push_back(static_cast<NodeId>(nodes.size()));
-        nodes.push_back(NodeRec{edit.kind, edit.name, edit.volume});
+        nodes.push_back(NodeRec{edit.kind, edit.volume});
+        if (!edit.name.empty()) {
+          names.resize(nodes.size());
+          names.back() = edit.name;
+        }
         break;
       case GraphEdit::Op::kRemoveNode:
         check_alive(edit.node, "remove_node");
@@ -288,10 +304,14 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
     for (std::size_t v = 0; v < nodes.size(); ++v) {
       if (dead(node_dead, v)) continue;
       remap[v] = static_cast<NodeId>(kept);
-      if (kept != v) nodes[kept] = std::move(nodes[v]);
+      if (kept != v) {
+        nodes[kept] = nodes[v];
+        if (kept < names.size()) names[kept] = v < names.size() ? std::move(names[v]) : "";
+      }
       ++kept;
     }
     nodes.resize(kept);
+    names.resize(std::min(names.size(), kept));
     kept = 0;
     for (std::size_t e = 0; e < edges.size(); ++e) {
       if (dead(edge_dead, e)) continue;
@@ -300,6 +320,13 @@ TaskGraph apply_graph_edits(const TaskGraph& base, std::span<const GraphEdit> ed
                            remap[static_cast<std::size_t>(edge.dst)], edge.volume};
     }
     edges.resize(kept);
+  }
+  if (retune_only) {
+    out.table_ = base.table_;
+  } else {
+    out.table_ = std::make_shared<TaskGraph::EdgeTable>();
+    out.table_->nodes = nodes.size();
+    out.table_->edges = std::move(edges);
   }
   return out;
 }

@@ -70,10 +70,15 @@ void append_graph_edit_json(std::string& out, const GraphEdit& edit);
 /// node, removes a nonexistent edge, or gives a non-positive volume where one
 /// is required. The result is NOT validated here; scheduling validates it.
 ///
-/// Cost: one flat copy of the base's node and edge arrays, patched in place;
-/// each edge lookup and each node removal scans the edge array once, and the
-/// dense renumbering pass runs only when the list removes something. The
-/// base's CSR arrays are never read, so they are never built.
+/// Cost: one copy of the base's node records, patched in place. A list of
+/// set_output edits (or an empty one) changes neither the edges nor the
+/// node count, so the result shares the base's edge table: its CSR,
+/// acyclicity verdict and weak components are derived once per base
+/// topology, not once per delta. Any other list copies the edge array into
+/// a table of its own; each edge lookup and each node removal scans it
+/// once, and the dense renumbering pass runs only when the list removes
+/// something. The base's derived state is never read here, so it is never
+/// built here either.
 [[nodiscard]] TaskGraph apply_graph_edits(const TaskGraph& base,
                                           std::span<const GraphEdit> edits);
 

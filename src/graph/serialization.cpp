@@ -203,8 +203,7 @@ std::string save_task_graph_to_string(const TaskGraph& graph) {
       out += '\n';
     }
   }
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
+  for (const Edge& edge : graph.edges()) {
     out += "edge ";
     append_number(out, edge.src);
     out += ' ';
@@ -238,8 +237,9 @@ void append_task_graph_json(std::string& out, const TaskGraph& graph) {
     out += '}';
   }
   out += "], \"edges\": [";
-  for (EdgeId e = 0; static_cast<std::size_t>(e) < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(e);
+  const std::span<const Edge> edges = graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const Edge& edge = edges[e];
     if (e > 0) out += ", ";
     out += '[';
     append_number(out, edge.src);
@@ -403,62 +403,18 @@ std::size_t distinct_classes(std::span<const std::uint64_t> hashes,
   return classes + (zero ? 1 : 0);
 }
 
-// Weakly connected components over ALL edges (buffer edges included): a
-// union-find forest (find_root). Its roots are the partitions, so a caller
-// learns the partition count before building anything per node.
-struct ComponentForest {
-  std::vector<NodeId> parent;
-  std::size_t roots = 0;
-};
-
-ComponentForest component_forest(const TaskGraph& graph) {
-  const std::size_t n = graph.node_count();
-  ComponentForest forest;
-  forest.parent.resize(n);
-  std::iota(forest.parent.begin(), forest.parent.end(), NodeId{0});
-  for (const Edge& edge : graph.edges()) unite(forest.parent, edge.dst, edge.src);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (forest.parent[v] == static_cast<NodeId>(v)) ++forest.roots;
-  }
-  return forest;
-}
-
-// Min-original-id labeling + ascending-id grouping of the forest's
-// partitions: the prefix shared by both canonical_partition_index overloads.
-// Leaves `order` grouped by partition with ascending original ids inside
-// each group (refinement re-sorts the groups into canonical order).
-void build_partition_groups(ComponentForest forest, CanonicalPartitionIndex& index) {
-  const std::size_t n = forest.parent.size();
-  index.component.assign(n, -1);
+// The partition prefix shared by both canonical_partition_index overloads:
+// the edge table's weak components, labelled by minimal original id, with
+// `order` grouped by partition and ascending original ids inside each group
+// (refinement re-sorts the groups into canonical order).
+void build_partition_groups(const WeakComponents& components, CanonicalPartitionIndex& index) {
+  const std::size_t n = components.label.size();
+  index.count = components.count;
+  index.component = components.label;
+  index.order = components.members;
+  index.offsets = components.offsets;
   index.node_hash.assign(n, 0);
   index.rank.assign(n, 0);
-  index.order.resize(n);
-
-  // Label partitions in order of their minimal original node id: the ascending
-  // scan reaches each root's first member before any other, so labels are
-  // assigned in that order.
-  std::int32_t count = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto r = static_cast<std::size_t>(find_root(forest.parent, static_cast<NodeId>(v)));
-    if (index.component[r] < 0) index.component[r] = count++;
-    index.component[v] = index.component[r];
-  }
-  index.count = count;
-
-  // Group nodes by partition (counting sort keeps ascending id order within
-  // each group, the order the refinement loop iterates).
-  index.offsets.assign(static_cast<std::size_t>(count) + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    ++index.offsets[static_cast<std::size_t>(index.component[v]) + 1];
-  }
-  for (std::size_t c = 0; c < static_cast<std::size_t>(count); ++c) {
-    index.offsets[c + 1] += index.offsets[c];
-  }
-  std::vector<std::size_t> cursor(index.offsets.begin(), index.offsets.end() - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    index.order[cursor[static_cast<std::size_t>(index.component[v])]++] =
-        static_cast<NodeId>(v);
-  }
 }
 
 // Position of each node within its partition's ascending-id listing: the
@@ -718,7 +674,7 @@ CanonicalPartitionIndex canonical_partition_index(const TaskGraph& graph,
                                                   std::span<const Rational> levels) {
   const std::size_t n = graph.node_count();
   CanonicalPartitionIndex index;
-  build_partition_groups(component_forest(graph), index);
+  build_partition_groups(graph.weak_components(), index);
 
   for (std::size_t v = 0; v < n; ++v) {
     index.node_hash[v] = seed_hash(graph, static_cast<NodeId>(v), levels[v]);
@@ -746,10 +702,10 @@ CanonicalPartitionIndex canonical_partition_index(
 std::optional<CanonicalPartitionIndex> composite_partition_index(
     const TaskGraph& graph, PartitionCanonMemo& memo,
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries) {
-  ComponentForest forest = component_forest(graph);
-  if (forest.roots <= 1) return std::nullopt;
+  const WeakComponents& components = graph.weak_components();
+  if (components.count <= 1) return std::nullopt;
   CanonicalPartitionIndex index;
-  build_partition_groups(std::move(forest), index);
+  build_partition_groups(components, index);
   if (entries) entries->assign(static_cast<std::size_t>(index.count), nullptr);
   const std::vector<std::int32_t> pos = partition_positions(index);
 

@@ -203,8 +203,9 @@ class PartitionCanonMemo {
 /// canonicalized and leaves the memo untouched. Such a graph's only reusable
 /// part is the whole graph, whose exact repeats a whole-graph ScheduleCache
 /// serves, so schedule_with_subgraph_cache schedules it whole. The count
-/// comes from the union-find pass every canonicalization runs first, so a
-/// one-partition graph costs that pass and nothing more here.
+/// comes from the graph's edge table (TaskGraph::weak_components), which a
+/// graph sharing its base's table does not derive again, so a one-partition
+/// graph costs nothing more here.
 [[nodiscard]] std::optional<CanonicalPartitionIndex> composite_partition_index(
     const TaskGraph& graph, PartitionCanonMemo& memo,
     std::vector<std::shared_ptr<const PartitionCanonMemo::Ranks>>* entries = nullptr);

@@ -116,7 +116,8 @@ void MetricsPass::run(ScheduleContext& ctx) const {
   const std::int64_t t1 = g.total_work();
   if (ctx.makespan > 0) m.speedup = speedup(t1, ctx.makespan);
   if (ctx.streaming) {
-    ctx.streaming_depth_bound = streaming_depth(g, ctx.topology().order);
+    const GraphTopology& topology = ctx.topology();
+    ctx.streaming_depth_bound = streaming_depth(g, topology.order, topology.level);
     m.slr = streaming_slr(ctx.streaming->makespan, ctx.streaming_depth_bound);
     m.utilization = streaming_utilization(g, *ctx.streaming, ctx.machine.num_pes);
   } else if (ctx.list) {

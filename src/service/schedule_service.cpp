@@ -232,11 +232,19 @@ void ScheduleService::worker_loop(Shard& shard) {
 }
 
 void ScheduleService::remember_base(std::uint64_t key_hash, const TaskGraph& graph) {
+  {
+    const MutexLock lock(bases_mutex_);
+    // A known hash is just refreshed, sparing the graph copy; a zero capacity
+    // would refuse the copy anyway.
+    if (bases_.capacity() == 0 || bases_.find(key_hash, key_hash) != nullptr) return;
+  }
+  // The copy (the node records; the edge table is shared) runs outside the
+  // lock every delta's find_base takes.
+  auto copy = std::make_shared<const TaskGraph>(graph);
   const MutexLock lock(bases_mutex_);
-  // A known hash is just refreshed, sparing the graph copy; a zero capacity
-  // would refuse the copy anyway.
-  if (bases_.capacity() == 0 || bases_.find(key_hash, key_hash) != nullptr) return;
-  (void)bases_.insert(key_hash, key_hash, std::make_shared<const TaskGraph>(graph), 1);
+  // When a concurrent call inserted this hash meanwhile, insert keeps that
+  // entry and drops this copy.
+  (void)bases_.insert(key_hash, key_hash, std::move(copy), 1);
 }
 
 std::shared_ptr<const TaskGraph> ScheduleService::find_base(std::string_view base_key) {

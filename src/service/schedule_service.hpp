@@ -180,7 +180,10 @@ class ScheduleService : public ScheduleBackend {
 
   /// Remembers `graph` as a possible delta base under the request's
   /// key_hash() (bounded LRU; an already-known hash is just refreshed,
-  /// sparing the graph copy on repeated submissions of one scenario).
+  /// sparing the graph copy on repeated submissions of one scenario). A
+  /// miss copies the graph outside the lock, so the copy shares the
+  /// request's edge table and holds its own node records; when a concurrent
+  /// call inserted the hash first, that entry stays.
   void remember_base(std::uint64_t key_hash, const TaskGraph& graph) EXCLUDES(bases_mutex_);
   /// The base a delta's `base_key` names: the graph remembered under the
   /// hash the digest parses back to, or nullptr for an unknown or malformed

@@ -193,7 +193,7 @@ TEST(TaskGraph, CopyRebuildsCsrAndMovePreservesIt) {
   g.declare_output(c, 8);
   ASSERT_EQ(g.work(c), 8);  // forces the CSR build
 
-  const TaskGraph copy = g;  // copies the graph, rebuilds caches on demand
+  const TaskGraph copy = g;  // shares the edge table, builds its own profiles
   EXPECT_EQ(copy.in_degree(c), 1u);
   EXPECT_EQ(copy.work(c), 8);
 
@@ -203,8 +203,9 @@ TEST(TaskGraph, CopyRebuildsCsrAndMovePreservesIt) {
 }
 
 TEST(TaskGraph, ConcurrentFirstAccessIsSafe) {
-  // The lazy CSR rebuild must be safe for threads sharing a const graph --
-  // the ScheduleCache schedules on shared graphs outside its lock.
+  // The lazy edge-table and profile builds must be safe for threads sharing
+  // a const graph -- the ScheduleCache schedules on shared graphs outside
+  // its lock.
   for (int round = 0; round < 20; ++round) {
     const TaskGraph g = make_fft(8, static_cast<std::uint64_t>(round) + 1);
     std::vector<std::thread> threads;

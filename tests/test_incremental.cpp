@@ -978,5 +978,48 @@ TEST(DeltaRequest, RouterRoutesDeltaToTheBaseBackend) {
   EXPECT_NE(router.stats_json().find("\"cache_weight\": "), std::string::npos);
 }
 
+TEST(DeltaRequest, SharedTableDeltaThroughRouterMatchesARebuiltWholeGraph) {
+  // A set_output delta materializes onto the registry base's edge table; the
+  // same edited graph rebuilt node by node through add_* shares nothing with
+  // it. Through a 4-backend router both must settle to one fingerprint.
+  RouterConfig config;
+  config.num_backends = 4;
+  ShardRouter router(config);
+
+  ScheduleRequest base = base_request(71);
+  const std::string digest = base.key_digest();
+  const TaskGraph base_graph = base.graph;
+  ASSERT_TRUE(router.schedule(std::move(base)).ok());
+
+  const std::vector<GraphEdit> edits = retune_exit(base_graph, 3);
+  const TaskGraph edited = apply_graph_edits(base_graph, edits);
+  ASSERT_TRUE(edited.shares_edge_table_with(base_graph));
+  std::vector<NodeId> identity(edited.node_count());
+  std::iota(identity.begin(), identity.end(), NodeId{0});
+  ScheduleRequest whole = base_request(71);
+  whole.graph = renumber(edited, identity);
+  ASSERT_FALSE(whole.graph.shares_edge_table_with(edited));
+  ASSERT_EQ(canonical_fingerprint(whole.graph), canonical_fingerprint(edited));
+
+  ScheduleRequest delta;
+  delta.base_key = digest;
+  delta.edits = edits;
+  delta.scheduler = "streaming-rlx";
+  delta.machine.num_pes = 4;
+  const ScheduleResponse from_delta = router.schedule(std::move(delta));
+  ASSERT_TRUE(from_delta.ok()) << from_delta.error;
+
+  // The rebuilt request keys like the delta's materialized graph, so a
+  // fresh router computes it instead of serving the delta's cached result.
+  ShardRouter fresh(config);
+  const ScheduleResponse from_whole = fresh.schedule(std::move(whole));
+  ASSERT_TRUE(from_whole.ok()) << from_whole.error;
+  EXPECT_EQ(result_fingerprint(*from_delta.result), result_fingerprint(*from_whole.result));
+  MachineConfig machine;
+  machine.num_pes = 4;
+  EXPECT_EQ(result_fingerprint(*from_delta.result),
+            result_fingerprint(schedule_by_name("streaming-rlx", edited, machine)));
+}
+
 }  // namespace
 }  // namespace sts

@@ -66,9 +66,22 @@ violation. Enforced rules:
  9. One union-find: the path-halving step, an array indexed through its own
     element (`parent[parent[v]]`, PATH_HALVING), appears in src/ only in
     the body of the shared union-find's find (UNION_FIND_SITES, find_root
-    in src/graph/algorithms.hpp). Components, stream contexts, partition
-    forests and volume classes all run on it; a private copy is a second
-    kernel to keep in step.
+    in src/graph/algorithms.hpp). Components, stream contexts, the edge
+    table's weak components and volume classes all run on it; a private
+    copy is a second kernel to keep in step.
+
+10. The edge-derived facts are computed once per edge table: the bodies of
+    EDGE_TABLE_READERS (`is_acyclic`, `TaskGraph::validate`, and the
+    whole-graph `canonical_partition_index` overloads in
+    src/graph/serialization.cpp), and of every function defined in the
+    same file that they call, directly or through each other, run no Kahn
+    step (a decrement-and-test-zero of a counter array, KAHN_STEP) and
+    call no `unite` or `find_root`; and nothing in
+    src/graph/serialization.cpp calls the union-find. They read
+    `TaskGraph::acyclic()` and `TaskGraph::weak_components()`, which the
+    edge table derives in one Kahn pass and one union-find pass and shares
+    between every graph that reads it; a pass of their own would re-derive
+    them for every retuned 10^5-node delta.
 """
 
 from __future__ import annotations
@@ -478,6 +491,71 @@ def check_one_union_find(errors: list[str]) -> None:
         fail(errors, f"{rel}: {name}() not found — update tools/lint_sts.py")
 
 
+KAHN_STEP = re.compile(r"--\s*[A-Za-z_]\w*\s*\[[^\]\n]*\]\s*==\s*0")
+UNION_FIND_CALL = re.compile(r"\b(unite|find_root)\s*\(")
+# (file, function, parameter counts or None for every overload) of the sites
+# that read the edge table's verdict and components. The parameter filter
+# holds wherever the name is followed, so the memo overload of
+# canonical_partition_index (whose missed partitions walk their own levels)
+# is not reached through the whole-graph ones.
+EDGE_TABLE_READERS = (
+    ("src/graph/algorithms.cpp", "is_acyclic", None),
+    ("src/graph/task_graph.cpp", "validate", None),
+    ("src/graph/serialization.cpp", "canonical_partition_index", {1, 2}),
+)
+UNION_FIND_FREE_FILES = ("src/graph/serialization.cpp",)
+
+
+def check_edge_facts_read_from_the_table(errors: list[str]) -> None:
+    why = (
+        "read TaskGraph::acyclic() and TaskGraph::weak_components(), derived once per "
+        "shared edge table"
+    )
+    for rel in sorted({rel for rel, _, _ in EDGE_TABLE_READERS}):
+        text = strip_comments((REPO / rel).read_text())
+        counts = {name: allowed for r, name, allowed in EDGE_TABLE_READERS if r == rel}
+
+        def followed(name: str, parameters: str) -> bool:
+            allowed = counts.get(name)
+            return allowed is None or parameter_count(parameters) in allowed
+
+        pending = [
+            (name, start, end)
+            for name, parameters, start, end in function_definitions(text, tuple(sorted(counts)))
+            if followed(name, parameters)
+        ]
+        for name in counts:
+            if not any(found == name for found, _, _ in pending):
+                fail(errors, f"{rel}: {name}() not found — update tools/lint_sts.py")
+        seen = {(start, end) for _, start, end in pending}
+        while pending:
+            name, start, end = pending.pop()
+            body = text[start:end]
+            for pattern, what in ((KAHN_STEP, "a Kahn step"), (UNION_FIND_CALL, "the union-find")):
+                for match in pattern.finditer(body):
+                    line = text.count("\n", 0, start + match.start()) + 1
+                    fail(
+                        errors,
+                        f"{rel}:{line}: {name}() runs {what} (`{match.group(0).strip()}`) — {why}",
+                    )
+            called = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", body)) - NOT_CALLS
+            if not called:
+                continue
+            for helper, parameters, s, e in function_definitions(text, tuple(sorted(called))):
+                if followed(helper, parameters) and (s, e) not in seen:
+                    seen.add((s, e))
+                    pending.append((helper, s, e))
+    for rel in UNION_FIND_FREE_FILES:
+        text = strip_comments((REPO / rel).read_text())
+        for match in UNION_FIND_CALL.finditer(text):
+            line = text.count("\n", 0, match.start()) + 1
+            fail(
+                errors,
+                f"{rel}:{line}: {match.group(1)}() — the canonicalization takes its partitions "
+                f"from TaskGraph::weak_components(); {why}",
+            )
+
+
 def main() -> int:
     errors: list[str] = []
     check_stats_documented(errors)
@@ -489,6 +567,7 @@ def main() -> int:
     check_refinement_rounds_read_flat_scratch(errors)
     check_passes_share_one_topology(errors)
     check_one_union_find(errors)
+    check_edge_facts_read_from_the_table(errors)
     if errors:
         print(f"lint_sts: {len(errors)} violation(s)", file=sys.stderr)
         for message in errors:
